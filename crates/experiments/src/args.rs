@@ -157,6 +157,69 @@ impl CommonArgs {
     }
 }
 
+/// The `metropolis` binary's flags beyond the common set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetroFlags {
+    /// `--flows N`: cap the sweep at `N` flows (adding `N` as a point).
+    pub flows: Option<u32>,
+    /// `--shards N`: lane count (default 8; zero is rejected).
+    pub shards: u32,
+    /// `--domains N`: parallel event domains (default = shards).
+    pub domains: Option<u32>,
+    /// `--workers N`: most worker threads (default = cores).
+    pub workers: Option<usize>,
+    /// `--middlebox`: a strict sequence firewall behind the censor.
+    pub middlebox: bool,
+    /// `--smoke` was given (it is also passed on as the common alias).
+    pub smoke: bool,
+}
+
+/// Parse `v` as the numeric value of `flag` at its target width, so an
+/// out-of-range value is an error rather than a silent wrap.
+fn number<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = v.ok_or_else(|| format!("{flag} needs a number"))?;
+    v.parse().map_err(|e| format!("{flag} needs a number, got {v:?} ({e})"))
+}
+
+impl MetroFlags {
+    /// Split the metropolis flags off `args`; everything else is returned
+    /// in order for [`CommonArgs::parse_from`].
+    pub fn split(args: impl IntoIterator<Item = String>) -> Result<(MetroFlags, Vec<String>), String> {
+        let mut out = MetroFlags {
+            flows: None,
+            shards: 8,
+            domains: None,
+            workers: None,
+            middlebox: false,
+            smoke: false,
+        };
+        let mut rest = Vec::new();
+        let mut it = args.into_iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--flows" => out.flows = Some(number("--flows", it.next())?),
+                "--shards" => {
+                    out.shards = number("--shards", it.next())?;
+                    if out.shards == 0 {
+                        return Err("--shards must be at least 1".to_string());
+                    }
+                }
+                "--domains" => out.domains = Some(number("--domains", it.next())?),
+                "--workers" => out.workers = Some(number("--workers", it.next())?),
+                "--middlebox" => out.middlebox = true,
+                _ => {
+                    out.smoke |= a == "--smoke";
+                    rest.push(a);
+                }
+            }
+        }
+        Ok((out, rest))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,5 +271,31 @@ mod tests {
         assert!(CommonArgs::parse_from(vec!["--telemetry".into()]).is_err());
         let err = CommonArgs::parse_from(vec!["--frobnicate".into()]).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
+    }
+
+    fn metro(args: &[&str]) -> Result<(MetroFlags, Vec<String>), String> {
+        MetroFlags::split(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn metro_flags_parse_at_their_target_width() {
+        let (f, rest) = metro(&["--flows", "4294967295", "--shards", "4", "--workers", "3", "--quick"]).unwrap();
+        assert_eq!(f.flows, Some(u32::MAX));
+        assert_eq!(f.shards, 4);
+        assert_eq!(f.workers, Some(3));
+        assert_eq!(rest, vec!["--quick".to_string()], "common flags pass through");
+        let (f, rest) = metro(&["--smoke", "--middlebox"]).unwrap();
+        assert!(f.smoke && f.middlebox);
+        assert_eq!(f.shards, 8);
+        assert_eq!(rest, vec!["--smoke".to_string()], "--smoke still reaches the common set");
+        // 2^32 + 1 does not fit the u32 flow count: an error, not a wrap.
+        let err = metro(&["--flows", "4294967297"]).unwrap_err();
+        assert!(err.contains("--flows"), "{err}");
+        let err = metro(&["--domains", "-1"]).unwrap_err();
+        assert!(err.contains("--domains"), "{err}");
+        // Zero lanes cannot host a flow.
+        let err = metro(&["--shards", "0"]).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
+        assert!(metro(&["--shards"]).is_err());
     }
 }

@@ -1,20 +1,24 @@
 //! Metropolis: one shared world, very many concurrent flows.
 //!
 //! Where [`crate::trial`] builds one simulation per fetch, this module
-//! builds **one** simulation hosting the whole population: a seeded load
+//! builds **one** world hosting the whole population: a seeded load
 //! generator plans every flow up front (arrival time, client address,
 //! site, ISN, keyword, per-flow INTANG strategy), the
-//! [`intang_apps::metro`] multiplexers host the endpoints, and a single
-//! GFW tap — one shared TCB table, one shared blacklist — watches them
-//! all. That sharing is the point: one flow's detection blacklists a
-//! `(src, dst)` pair and resets *other* flows on it, capacity pressure
+//! [`intang_apps::metro`] multiplexers host the endpoints, and one
+//! logical GFW tap watches them all. Its TCB table, eviction quota and
+//! blacklist are split into `p.shards` lanes keyed by
+//! [`intang_packet::pair_shard`] — the way real DPI deployments shed
+//! state across devices (§2.1) — so every flow on a `(src, dst)` pair
+//! shares one lane. That sharing is the point: one flow's detection
+//! blacklists a pair and resets *other* flows on it, capacity pressure
 //! evicts TCBs and degrades detection, and resync churn from many flows
 //! counts as storms.
 //!
-//! Determinism: the event loop is strictly serial. "Workers" here are
-//! post-run aggregation threads over the per-flow result grid, one shard
-//! at a time, folded in shard-index order — so any worker count produces
-//! byte-identical [`MetroRun`]s (asserted by `tests/determinism.rs`).
+//! Execution: [`run_metropolis_domains`] groups the shards into event
+//! domains, each a full simulation run on a work-stealing worker thread.
+//! Each shard's event stream is causally closed, so any
+//! `(domains, workers)` split merges into output byte-identical to the
+//! `domains = 1` serial reference (asserted by `tests/determinism.rs`).
 
 use crate::runner::MinMaxAvg;
 use intang_apps::metro::{FlowOutcome, FlowResult, FlowSpec, MetroClients, MetroHandle, MetroServers};
@@ -40,7 +44,9 @@ pub struct MetroParams {
     /// Flows to spawn over the run.
     pub flows: u32,
     pub seed: u64,
-    /// Shard count for per-flow state (aggregation workers sweep shards).
+    /// Lane count of the censor and shim state, and the most event
+    /// domains the world can split into (flows partition by
+    /// [`intang_packet::pair_shard`]).
     pub shards: u32,
     /// Client address pool size (source ports are per-address, so this
     /// bounds flows-per-address; [`MetroParams::new`] scales it).
@@ -147,8 +153,8 @@ pub fn generate_world(p: &MetroParams) -> MetroWorld {
     }
 }
 
-/// Per-shard fold of the flow-result grid (pure function of the shard's
-/// rows — identical whichever worker computes it).
+/// Per-shard fold of the flow-result grid (a pure function of the
+/// shard's rows).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSummary {
     pub flows: u64,
@@ -180,52 +186,6 @@ impl ShardSummary {
             FlowOutcome::Pending => self.pending += 1,
         }
     }
-}
-
-/// Aggregate the outcome grid shard by shard on `workers` threads. Each
-/// shard's summary is a pure function of that shard's rows and lands at
-/// its own index, so the result is byte-identical for any `workers >= 1`.
-pub fn aggregate_shards(results: &[FlowResult], shards: u32, workers: usize) -> Vec<ShardSummary> {
-    let shards = shards.max(1) as usize;
-    let mut out = vec![ShardSummary::default(); shards];
-    let workers = workers.max(1).min(shards);
-    if workers == 1 {
-        for r in results {
-            out[r.shard as usize].fold(r);
-        }
-        return out;
-    }
-    let cursor = AtomicUsize::new(0);
-    let computed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let s = cursor.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        let mut sum = ShardSummary::default();
-                        for r in results.iter().filter(|r| r.shard as usize == s) {
-                            sum.fold(r);
-                        }
-                        mine.push((s, sum));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard aggregation worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (s, sum) in computed {
-        out[s] = sum;
-    }
-    out
 }
 
 /// Min/max/avg of mean per-flow success latency across shards, with
@@ -284,36 +244,24 @@ pub struct MetroParts {
     pub gfw: GfwHandle,
 }
 
-/// Build the metropolis simulation without running it (the legacy serial
-/// world: one global censor TCB table, one global shim state, all draws
-/// from the simulation RNG).
-pub fn build_metropolis(p: &MetroParams, world: &MetroWorld) -> (Simulation, MetroParts) {
-    build_metropolis_inner(p, world, 1, 0, false)
-}
-
-/// Build one event domain of a `domains`-way parallel metropolis: the
-/// same topology as [`build_metropolis`], but the metro clients own only
-/// the shards with `shard % domains == domain`, and the censor and shim
-/// run with `state_shards = p.shards` so every piece of cross-flow state
-/// — TCB eviction order and capacity quota, resync windows, sticky
-/// draws, injector RNG streams, learned δ overrides — is partitioned by
-/// the same [`intang_packet::pair_shard`] key the metro flows shard by.
-/// Each shard's event stream is then causally closed, so any grouping of
-/// shards into domains replays identical per-shard bytes.
-///
-/// `domains = 1, domain = 0` is the **serial reference** for the parallel
-/// determinism grid: one simulation hosting all shards under the exact
-/// same sharded-state semantics.
-pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32) -> (Simulation, MetroParts) {
-    build_metropolis_inner(p, world, domains, domain, true)
-}
-
 /// Per-lane RNG seed bases for the sharded censor and shim — distinct
 /// constants so the two stacks of lanes never share a stream.
 const GFW_LANE_SEED: u64 = 0x4746_575f_4c41_4e45; // "GFW_LANE"
 const SHIM_LANE_SEED: u64 = 0x5348_494d_4c41_4e45; // "SHIMLANE"
 
-fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32, sharded_state: bool) -> (Simulation, MetroParts) {
+/// Build one event domain of a `domains`-way metropolis without running
+/// it: the full clients→shim→censor→servers path, but the metro clients
+/// own only the shards with `shard % domains == domain`, and the censor
+/// and shim run with `state_shards = p.shards` so every piece of
+/// cross-flow state — TCB eviction order and capacity quota, resync
+/// windows, sticky draws, injector RNG streams, learned δ overrides — is
+/// partitioned by the same [`intang_packet::pair_shard`] key the metro
+/// flows shard by. Each shard's event stream is then causally closed, so
+/// any grouping of shards into domains replays identical per-shard bytes.
+///
+/// `domains = 1, domain = 0` is the **serial reference**: one simulation
+/// hosting every shard.
+pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32) -> (Simulation, MetroParts) {
     let mut sim = Simulation::new(p.seed);
 
     // The INTANG shim fronts every client address; per-flow strategy
@@ -322,8 +270,8 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
         strategy: None,
         measure_hops: true,
         prefer_ttl: true,
-        state_shards: if sharded_state { p.shards } else { 1 },
-        shard_seed: if sharded_state { p.seed ^ SHIM_LANE_SEED } else { 0 },
+        state_shards: p.shards,
+        shard_seed: p.seed ^ SHIM_LANE_SEED,
         ..IntangConfig::default()
     };
     let (intang_el, intang) = IntangElement::new(world.clients[0], cfg);
@@ -360,10 +308,8 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
     let mut gcfg = p.censor.clone().unwrap_or_else(GfwConfig::evolved);
     gcfg.max_tcbs = p.max_tcbs;
     gcfg.eviction = p.eviction;
-    if sharded_state {
-        gcfg.state_shards = p.shards;
-        gcfg.shard_seed = p.seed ^ GFW_LANE_SEED;
-    }
+    gcfg.state_shards = p.shards;
+    gcfg.shard_seed = p.seed ^ GFW_LANE_SEED;
     let (gfw_el, gfw) = GfwElement::labeled(gcfg, "GFW");
     sim.add_element(Box::new(gfw_el));
 
@@ -388,49 +334,6 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
     }
 
     (sim, MetroParts { metro, intang, gfw })
-}
-
-/// Run a metropolis world to its horizon and aggregate with `workers`
-/// shard-sweep threads.
-pub fn run_metropolis_with_workers(p: &MetroParams, workers: usize) -> MetroRun {
-    let sc = intang_simcheck::enabled();
-    if sc {
-        intang_simcheck::begin_trial(p.seed);
-        let _ = intang_simcheck::take_violations();
-    }
-    let world = generate_world(p);
-    let (mut sim, parts) = build_metropolis(p, &world);
-    let events = sim.run_until(p.horizon);
-
-    let mut metrics = MetricsSheet::new();
-    sim.export_metrics(&mut metrics);
-    // One logical censor device per run: tag it at the run level (never
-    // per element — a domain split would multiply the constant).
-    metrics.inc(parts.gfw.profile_tag().device_counter());
-    let series = sim.take_series();
-    let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
-
-    let results = parts.metro.results();
-    let shards = aggregate_shards(&results, p.shards, workers);
-    let (spawned, succeeded, reset, stalled) = parts.metro.counts();
-    MetroRun {
-        results,
-        counts: (spawned, succeeded, reset, stalled),
-        shards,
-        events,
-        collateral_resets: parts.gfw.blacklist_collateral_resets(),
-        tcbs_evicted: parts.gfw.tcbs_evicted(),
-        resync_storms: parts.gfw.resync_storms(),
-        metrics,
-        series,
-        order_violations: parts.metro.order_violations(),
-        violations,
-    }
-}
-
-/// Serial-aggregation convenience wrapper.
-pub fn run_metropolis(p: &MetroParams) -> MetroRun {
-    run_metropolis_with_workers(p, 1)
 }
 
 /// §5 diagnosis over a metropolis run: how many stalled flows the failure
@@ -555,15 +458,8 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
 /// Censor and shim state run sharded (`state_shards = p.shards`), so the
 /// per-shard event streams are causally closed and the merged output —
 /// outcome grid, counters, metrics sheet, gauge series — is byte-identical
-/// to the `domains = 1` serial reference at any `(domains, workers,
-/// batching)` combination (asserted by `tests/determinism.rs`).
-///
-/// Note this is a *different semantics* from the legacy
-/// [`run_metropolis`]: there the censor keeps one global TCB table and
-/// eviction budget; here every lane owns a deterministic share of it.
-/// Cross-flow interference still happens — within a lane — and the
-/// partition itself is part of the modeled deployment (§2.1: sharding is
-/// how real DPI boxes shed state).
+/// to the `domains = 1` serial reference at any `(domains, workers)`
+/// combination (asserted by `tests/determinism.rs`).
 pub fn run_metropolis_domains(p: &MetroParams, domains: u32, workers: usize) -> MetroDomainsRun {
     let world = generate_world(p);
     run_metropolis_domains_world(p, &world, domains, workers)
@@ -579,7 +475,6 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
 
     // Replay the caller's observability overrides inside every worker
     // (thread-locals do not cross `thread::scope`).
-    let batch_override = intang_netsim::batch::thread_override();
     let flight_override = intang_netsim::flight::thread_override();
     let spans_override = intang_telemetry::spans::thread_override();
 
@@ -592,7 +487,6 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
                 let cursor = &cursor;
                 let outs = &outs;
                 scope.spawn(move || {
-                    intang_netsim::batch::set_thread(batch_override);
                     intang_netsim::flight::set_thread(flight_override);
                     intang_telemetry::spans::set_thread(spans_override);
                     // Domain sims always sample manually; the in-sim
@@ -696,7 +590,10 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
         }
         Box::new(sheet)
     });
-    let shards = aggregate_shards(&results, p.shards, workers);
+    let mut shards = vec![ShardSummary::default(); p.shards.max(1) as usize];
+    for r in &results {
+        shards[r.shard as usize].fold(r);
+    }
     let domain_stats = outs
         .iter()
         .enumerate()
@@ -750,7 +647,7 @@ mod tests {
     fn small_world_completes_with_terminal_outcomes() {
         let mut p = MetroParams::new(40, 2017);
         p.shards = 4;
-        let run = run_metropolis(&p);
+        let run = run_metropolis_domains(&p, 1, 1).run;
         let (spawned, succeeded, reset, stalled) = run.counts;
         assert_eq!(spawned, 40);
         assert_eq!(succeeded + reset + stalled, 40, "every flow reaches a terminal state");
@@ -759,17 +656,6 @@ mod tests {
         assert_eq!(run.order_violations, 0);
         let total: u64 = run.shards.iter().map(|s| s.flows).sum();
         assert_eq!(total, 40, "shard summaries partition the grid");
-    }
-
-    #[test]
-    fn aggregation_is_identical_across_worker_counts() {
-        let mut p = MetroParams::new(60, 11);
-        p.shards = 8;
-        let run = run_metropolis(&p);
-        for workers in [2usize, 8] {
-            let again = aggregate_shards(&run.results, p.shards, workers);
-            assert_eq!(again, run.shards, "{workers} workers");
-        }
     }
 
     #[test]
@@ -834,7 +720,7 @@ mod tests {
     fn middlebox_free_runs_report_no_interference() {
         let mut p = MetroParams::new(200, 97);
         p.shards = 4;
-        let run = run_metropolis(&p);
+        let run = run_metropolis_domains(&p, 1, 1).run;
         assert_eq!(run.metrics.counter(intang_telemetry::Counter::MiddleboxSeqfwBlocked), 0);
         assert_eq!(middlebox_interference_diagnoses(&run), 0);
     }
@@ -845,14 +731,14 @@ mod tests {
         use intang_telemetry::Counter;
         let mut p = MetroParams::new(40, 5);
         p.shards = 4;
-        let stock = run_metropolis(&p);
+        let stock = run_metropolis_domains(&p, 1, 1).run;
         assert_eq!(stock.metrics.counter(Counter::GfwProfileEvolvedDevices), 1);
         assert_eq!(stock.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 0);
         p.censor = Some(CensorProfile::turkmenistan().compile().expect("builtin compiles"));
-        let tk = run_metropolis(&p);
+        let tk = run_metropolis_domains(&p, 1, 1).run;
         assert_eq!(tk.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
         assert_eq!(tk.metrics.counter(Counter::GfwProfileEvolvedDevices), 0);
-        // The domains path tags the merged sheet identically.
+        // A domain split still tags the merged sheet exactly once.
         let tk2 = run_metropolis_domains(&p, 2, 2);
         assert_eq!(tk2.run.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
     }

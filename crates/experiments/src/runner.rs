@@ -398,7 +398,6 @@ pub fn sweep_with_threads(scenario: &Scenario, cfg: &SweepConfig, workers: usize
     // inside every worker so an A/B harness (determinism matrix,
     // bench_sweep, the observability tests) controls the mode of
     // worker-constructed simulations too.
-    let batch_override = intang_netsim::batch::thread_override();
     let flight_override = intang_netsim::flight::thread_override();
     let series_override = intang_telemetry::series::thread_override();
     let spans_override = intang_telemetry::spans::thread_override();
@@ -410,7 +409,6 @@ pub fn sweep_with_threads(scenario: &Scenario, cfg: &SweepConfig, workers: usize
                 let cfg = &*cfg;
                 let merge = &merge;
                 scope.spawn(move || {
-                    intang_netsim::batch::set_thread(batch_override);
                     intang_netsim::flight::set_thread(flight_override);
                     intang_telemetry::series::set_thread(series_override);
                     intang_telemetry::spans::set_thread(spans_override);

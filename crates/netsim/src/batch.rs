@@ -1,53 +1,16 @@
-//! Batched-dispatch enablement and diagnostics.
+//! Batched-dispatch diagnostics.
 //!
-//! The event loop drains equal-timestamp runs as one batch (see
-//! [`crate::Simulation::step_batch`]). Batching is result-identical to
-//! single-step dispatch — the determinism suite runs both ways — so the
-//! toggle exists purely for that A/B: a process-wide env var
-//! (`INTANG_BATCH=0` force-disables, default on) plus a thread-local
-//! override mirroring `intang_simcheck::set_thread`, so the test matrix can
-//! flip modes per thread without touching the environment. Simulations
-//! cache the flag at construction time.
+//! The event loop always drains equal-timestamp runs as one batch (see
+//! [`crate::Simulation::step_batch`]); the `(time, seq)` pop order that
+//! makes this result-identical to single-stepping is pinned by the
+//! queue-vs-reference-heap property in `tests/properties.rs`.
 //!
 //! Batch-size statistics are process-global relaxed atomics (the
-//! `intang_packet::wire::pool_stats` pattern): they are scheduling- and
-//! mode-dependent diagnostics, reported only by `bench_sweep` — never in a
-//! `MetricsSheet`, which must stay byte-identical with batching on or off.
+//! `intang_packet::wire::pool_stats` pattern): they are scheduling-
+//! dependent diagnostics, reported only by the benches — never in a
+//! `MetricsSheet`, which must stay byte-identical however events group.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("INTANG_BATCH").map(|v| !v.is_empty() && v != "0").unwrap_or(true))
-}
-
-thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Is batched dispatch enabled on this thread? Thread-local override
-/// first, env var (`INTANG_BATCH`, default on) otherwise.
-pub fn enabled() -> bool {
-    THREAD_ON.with(|c| c.get()).unwrap_or_else(env_enabled)
-}
-
-/// Override batching for the current thread (`Some(true)`/`Some(false)`),
-/// or fall back to the env var (`None`). Returns the previous override.
-/// Must be called *before* constructing the simulations it should affect —
-/// they cache the flag.
-pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
-}
-
-/// The current thread's override, if any. The sweep executor reads this on
-/// the calling thread and replays it inside each worker thread, so a
-/// caller-side [`set_thread`] governs simulations constructed by workers
-/// too (thread-locals do not inherit across `thread::scope`).
-pub fn thread_override() -> Option<bool> {
-    THREAD_ON.with(|c| c.get())
-}
 
 /// Batch-size histogram buckets: sizes 1, 2–3, 4–7, … (powers of two),
 /// last bucket open-ended.
@@ -110,15 +73,6 @@ mod tests {
         assert_eq!(bucket(7), 2);
         assert_eq!(bucket(8), 3);
         assert_eq!(bucket(1 << 40), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn thread_override_round_trips() {
-        let prev = set_thread(Some(false));
-        assert!(!enabled());
-        set_thread(Some(true));
-        assert!(enabled());
-        set_thread(prev);
     }
 
     #[test]

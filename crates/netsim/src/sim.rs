@@ -100,9 +100,6 @@ pub struct Simulation {
     /// simulation was constructed; cached so the disabled-mode cost per
     /// hop is one field read.
     simcheck: bool,
-    /// Whether batched dispatch was enabled when this simulation was
-    /// constructed (see [`crate::batch`]); cached like `simcheck`.
-    batching: bool,
     /// Batches dispatched / events dispatched in batches / log₂ batch-size
     /// histogram — plain integers on the hot path, folded into the
     /// process-wide [`crate::batch::stats`] on drop.
@@ -148,8 +145,8 @@ impl Drop for Simulation {
             }
         }
         // Diagnostics only: fold this run's batch accounting into the
-        // process-wide totals (never into a MetricsSheet — batching on/off
-        // must not change telemetry bytes).
+        // process-wide totals (never into a MetricsSheet — how events
+        // group into batches must not change telemetry bytes).
         crate::batch::note_run(self.batch_batches, self.batch_events, &self.batch_hist);
         // Hand the grown scratch buffers to the next simulation on this
         // thread (cleared — only capacity is recycled).
@@ -199,7 +196,6 @@ impl Simulation {
             mtu_dropped: 0,
             burst_losses: 0,
             simcheck: intang_simcheck::enabled(),
-            batching: crate::batch::enabled(),
             batch_batches: 0,
             batch_events: 0,
             batch_hist: [0; crate::batch::HIST_BUCKETS],
@@ -263,35 +259,21 @@ impl Simulation {
     /// Run until the queue empties or `deadline` passes. Returns the number
     /// of events processed.
     ///
-    /// With batching enabled (the default, see [`crate::batch`]), each
-    /// iteration drains the whole equal-timestamp run at the head of the
-    /// queue via [`Simulation::step_batch`]; the batch shares the head's
-    /// timestamp, so the deadline test on the head covers every event in
-    /// it. Result-identical to single-step mode either way.
+    /// Each iteration drains the whole equal-timestamp run at the head of
+    /// the queue via [`Simulation::step_batch`]; the batch shares the
+    /// head's timestamp, so the deadline test on the head covers every
+    /// event in it.
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
         let _s = intang_telemetry::span(SpanId::EventLoop);
         let mut n = 0;
-        if self.batching {
-            while let Some(t) = self.queue.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                if self.series.is_some() {
-                    self.sample_series_upto(t);
-                }
-                n += self.step_batch();
+        while let Some(t) = self.queue.peek_time() {
+            if t > deadline {
+                break;
             }
-        } else {
-            while let Some(t) = self.queue.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                if self.series.is_some() {
-                    self.sample_series_upto(t);
-                }
-                self.step();
-                n += 1;
+            if self.series.is_some() {
+                self.sample_series_upto(t);
             }
+            n += self.step_batch();
         }
         if self.series.is_some() {
             self.sample_series_upto(deadline);
@@ -971,10 +953,10 @@ mod tests {
     #[test]
     fn batched_run_matches_single_step_run() {
         // Same seed, same injected load (including same-time collisions and
-        // loss draws): batched and single-step dispatch must agree on every
-        // observable — clock, counters, deliveries and the trace.
-        let build_and_run = |batch: bool| {
-            let prev = crate::batch::set_thread(Some(batch));
+        // loss draws): `run_until`'s batched dispatch and the single-step
+        // `run_to_quiescence` loop must agree on every observable —
+        // counters, deliveries and the trace.
+        let build_and_run = |batched: bool| {
             let link = Link::new(Duration::from_millis(1), 2).with_loss(0.3);
             let (mut sim, got) = two_node_sim(link);
             sim.trace.enable();
@@ -983,11 +965,15 @@ mod tests {
                 let t = Instant((i / 3) * 500);
                 sim.inject_at(0, Direction::ToServer, pkt(64), t);
             }
-            let n = sim.run_until(Instant(1_000_000));
-            crate::batch::set_thread(prev);
+            let n = if batched {
+                sim.run_until(Instant(1_000_000))
+            } else {
+                sim.run_to_quiescence(u64::MAX)
+            };
+            assert_eq!(sim.pending_events(), 0, "the load drains well before the deadline");
             let deliveries: Vec<(Instant, Vec<u8>)> = got.borrow().iter().map(|(at, w)| (*at, w.to_vec())).collect();
             let trace: Vec<String> = sim.trace.events().iter().map(|e| format!("{e:?}")).collect();
-            (n, sim.now, sim.delivered, sim.lost, sim.events_processed, deliveries, trace)
+            (n, sim.delivered, sim.lost, sim.events_processed, deliveries, trace)
         };
         let single = build_and_run(false);
         let batched = build_and_run(true);

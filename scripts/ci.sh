@@ -32,11 +32,9 @@ cargo test -q --release --test simcheck
 # length/alignment/split, and arena recycling must be observationally
 # invisible.
 cargo test -q --release --test properties
-# Determinism matrix: sweep outputs byte-identical at 1/2/8 workers with
-# event batching forced on and off — plus a whole-process A/B with
-# batching env-disabled (the cached-flag path bench_sweep itself takes).
+# Determinism matrix: sweep outputs byte-identical at 1/2/8 workers, and
+# metropolis outputs byte-identical at every domains x workers cell.
 cargo test -q --release --test determinism
-INTANG_BATCH=0 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Kernel microbench smoke: asserts kernel/reference agreement on real
 # iterations (a tiny time budget keeps it a compile-and-agree check, not a
 # measurement).
@@ -53,22 +51,25 @@ cargo run --release -p intang-experiments --bin bench_sweep -- --smoke
 # gauge hooks and flight checks may not cost measurable throughput.
 INTANG_SERIES=0 INTANG_SPANS=0 INTANG_FLIGHT=0 INTANG_PROGRESS=0 \
     cargo run --release -p intang-experiments --bin bench_sweep -- --smoke
-# Folded-stack export smoke: the instrumented pass must produce a
-# non-empty profile where every line parses as `stack<space>count`.
+# Folded-stack export smoke: the instrumented pass of each binary must
+# produce a non-empty profile where every line parses as
+# `stack<space>count` (metropolis profiles run on domain worker threads).
 folded="${TMPDIR:-/tmp}/ci_profile.folded"
-cargo run --release -p intang-experiments --bin bench_sweep -- --quick --profile-folded "$folded" >/dev/null
-test -s "$folded" || { echo "ci: FAIL: folded profile is empty" >&2; exit 1; }
-awk 'NF < 2 || $NF !~ /^[0-9]+$/ { print "ci: FAIL: bad folded line: " $0; bad = 1 } END { exit bad }' "$folded"
-rm -f "$folded"
+for bin in bench_sweep metropolis; do
+    cargo run --release -p intang-experiments --bin "$bin" -- --quick --profile-folded "$folded" >/dev/null
+    test -s "$folded" || { echo "ci: FAIL: $bin folded profile is empty" >&2; exit 1; }
+    awk 'NF < 2 || $NF !~ /^[0-9]+$/ { print "ci: FAIL: bad folded line: " $0; bad = 1 } END { exit bad }' "$folded"
+    rm -f "$folded"
+done
 # Fault layer smoke: degradation matrix at all intensities; the 0.00 row
 # doubles as a no-op check for the fault plumbing.
 cargo run --release -p intang-experiments --bin fault_matrix -- --smoke >/dev/null
 # Metropolis smoke: a 1k-flow shared world with the invariant checker on
 # must finish with zero simcheck violations, zero per-flow ordering
-# regressions, identical 1/2/8-worker shard aggregation, and peak RSS
-# under the ceiling (the binary reads VmHWM and exits non-zero past it).
-# Every --smoke also runs a parallel leg (multi-domain, 2 workers)
-# byte-compared against its serial reference.
+# regressions, and peak RSS under the ceiling (the binary reads VmHWM and
+# exits non-zero past it). Every --smoke runs the domains=1 serial
+# reference, then a parallel leg (multi-domain, 2 workers) byte-compared
+# against it.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke
 # Parallel metropolis smoke at full width: 8 event domains on 8 worker
@@ -88,5 +89,9 @@ INTANG_SIMCHECK=1 cargo run --release -p intang-experiments --bin censor_profile
 # not cost serial/parallel identity.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --middlebox
+# Repo benchmark self-test: perfbench's traced replay mirrors the
+# metropolis topology, PATH_HOPS and lane seeds; its tests check that the
+# mirror still reproduces the library's runs.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "ci: OK"

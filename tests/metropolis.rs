@@ -8,7 +8,7 @@
 use intang_apps::metro::{FlowOutcome, FlowSpec};
 use intang_core::StrategyKind;
 use intang_experiments::metropolis::{
-    build_metropolis, run_metropolis_domains_world, MetroDomainsRun, MetroParams, MetroParts, MetroWorld,
+    build_metropolis_domain, run_metropolis_domains_world, MetroDomainsRun, MetroParams, MetroParts, MetroWorld,
 };
 use intang_gfw::EvictionPolicy;
 use intang_netsim::{Duration, Instant};
@@ -51,13 +51,15 @@ fn run_domains(w: &MetroWorld, max_tcbs: usize, horizon: Instant, domains: u32, 
     (outcomes, run)
 }
 
+/// The world as the `domains = 1` serial reference, with live censor
+/// handles for the assertions.
 fn run(w: &MetroWorld, max_tcbs: usize, horizon: Instant) -> (Vec<FlowOutcome>, MetroParts) {
     let mut p = MetroParams::new(w.specs.len() as u32, 42);
     p.shards = 4;
     p.max_tcbs = max_tcbs;
     p.eviction = EvictionPolicy::Oldest;
     p.horizon = horizon;
-    let (mut sim, parts) = build_metropolis(&p, w);
+    let (mut sim, parts) = build_metropolis_domain(&p, w, 1, 0);
     sim.run_until(horizon);
     let outcomes = parts.metro.results().iter().map(|r| r.outcome).collect();
     (outcomes, parts)

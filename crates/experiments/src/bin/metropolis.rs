@@ -20,8 +20,9 @@
 //! `--smoke` runs a 1k-flow world with simcheck forced on — the serial
 //! reference, then a multi-domain parallel leg byte-compared against it —
 //! requires zero invariant violations, zero per-flow ordering regressions
-//! and zero serial/parallel divergence, and gates peak RSS against
-//! `INTANG_METRO_RSS_MB` when set.
+//! and zero serial/parallel divergence. In every mode, when
+//! `INTANG_METRO_RSS_MB` is set, the process exits non-zero if its peak
+//! RSS over all runs exceeds that many megabytes.
 //!
 //! Extra flags beyond the common set (parsed by
 //! [`intang_experiments::args::MetroFlags`]): `--flows N` caps the sweep
@@ -182,25 +183,33 @@ fn smoke_gate(seed: u64, shards: u32, knobs: &WorldKnobs, domains: u32, workers:
         eprintln!("ERROR: {order_violations} per-flow (time, seq) ordering regression(s)");
         failed = true;
     }
-    if let Ok(gate) = std::env::var("INTANG_METRO_RSS_MB") {
-        let ceiling_mb: u64 = gate.parse().expect("INTANG_METRO_RSS_MB must be a number of megabytes");
-        // Re-read after the parallel leg: VmHWM is monotonic, so this
-        // covers every run in the gate.
-        match peak_rss_kb() {
-            Some(kb) if kb / 1024 <= ceiling_mb => {
-                eprintln!("  rss gate: peak {} MB <= ceiling {ceiling_mb} MB", kb / 1024);
-            }
-            Some(kb) => {
-                eprintln!("ERROR: peak RSS {} MB exceeds ceiling {ceiling_mb} MB", kb / 1024);
-                failed = true;
-            }
-            None => {
-                eprintln!("ERROR: INTANG_METRO_RSS_MB set but /proc/self/status is unreadable");
-                failed = true;
-            }
+    failed |= rss_gate_failed();
+    std::process::exit(if failed { 1 } else { 0 });
+}
+
+/// When `INTANG_METRO_RSS_MB` is set, check the process's peak RSS
+/// against it; true (after printing why) when the peak exceeds the
+/// ceiling or cannot be read. Called once every run of the invocation is
+/// done: `VmHWM` is monotonic, so the check covers all of them.
+fn rss_gate_failed() -> bool {
+    let Ok(gate) = std::env::var("INTANG_METRO_RSS_MB") else {
+        return false;
+    };
+    let ceiling_mb: u64 = gate.parse().expect("INTANG_METRO_RSS_MB must be a number of megabytes");
+    match peak_rss_kb() {
+        Some(kb) if kb / 1024 <= ceiling_mb => {
+            eprintln!("  rss gate: peak {} MB <= ceiling {ceiling_mb} MB", kb / 1024);
+            false
+        }
+        Some(kb) => {
+            eprintln!("ERROR: peak RSS {} MB exceeds ceiling {ceiling_mb} MB", kb / 1024);
+            true
+        }
+        None => {
+            eprintln!("ERROR: INTANG_METRO_RSS_MB set but /proc/self/status is unreadable");
+            true
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
 }
 
 fn main() {
@@ -489,6 +498,7 @@ fn main() {
             failed = true;
         }
     }
+    failed |= rss_gate_failed();
     if failed {
         std::process::exit(1);
     }

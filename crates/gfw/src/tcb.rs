@@ -174,11 +174,10 @@ impl CensorTcb {
                     static PULLED: std::cell::RefCell<Vec<u8>> =
                         const { std::cell::RefCell::new(Vec::new()) };
                 }
-                self.asm.insert(u64::from(rel), payload);
                 PULLED.with(|p| {
                     let mut pulled = p.borrow_mut();
                     pulled.clear();
-                    self.asm.pull_into(&mut pulled);
+                    self.asm.insert_and_pull(u64::from(rel), payload, &mut pulled);
                     if !pulled.is_empty() {
                         for k in self.matcher.feed(aut, &pulled) {
                             if !hits.contains(&k) {

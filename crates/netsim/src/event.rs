@@ -1,10 +1,10 @@
-//! The event queue: a hierarchical timing wheel with FIFO tie-breaking.
+//! The event queue: a hierarchical timing wheel over a node arena, with
+//! FIFO tie-breaking.
 //!
-//! Replaces the original `BinaryHeap` queue with a two-tier structure
-//! shaped by the simulator's delay distribution:
+//! **Ordering.** Two tiers, shaped by the simulator's delay distribution:
 //!
 //! * **Front tier** — all events inside the cursor's current 4096 µs
-//!   *epoch* (the level-0 span) live in a small binary min-heap keyed by
+//!   *epoch* (the level-0 span) are keyed in a small binary min-heap by
 //!   `(time, insertion-seq)`. Simulated deadlines cluster at the
 //!   link-latency scale (~1 ms), so the overwhelming majority of events
 //!   spend their whole life here, at contiguous-array heap speed — a slot
@@ -14,17 +14,35 @@
 //! * **Upper tiers** — five classic wheel levels of 64 slots (6 bits per
 //!   level, 2^42 µs ≈ 52-day horizon) absorb far deadlines with O(1)
 //!   pushes and per-level occupancy bitmaps, so retransmit timeouts and
-//!   quiescence guards never bloat the front heap. Anything beyond the
+//!   expiry timers never bloat the front heap. Anything beyond the
 //!   horizon waits in an overflow list and migrates in when the cursor
 //!   catches up.
 //!
 //! The epoch only advances when the front heap is empty (a cascade or an
 //! overflow migration), which is what makes the split sound: every front
 //! event precedes every upper-level event, and upper levels are totally
-//! ordered among themselves by the shared cursor prefix. Slot storage and
-//! the front heap's buffer are recycled through a thread-local pool across
-//! `EventQueue` lifetimes (a simulation is built per trial), so queue
-//! construction and steady-state operation stay off the allocator.
+//! ordered among themselves by the shared cursor prefix.
+//!
+//! **Storage.** Every queued event lives in one cell of a node arena (a
+//! `Vec` of 64-byte nodes). Free cells form a singly linked free list, and
+//! each upper slot and the overflow are list heads threaded through the
+//! same `u32` links, so an upper slot costs four bytes whether or not it
+//! ever held anything. The front heap holds only compact `(time, seq,
+//! node)` keys. A push takes a free cell (or appends one), a pop returns
+//! its cell to the free list, and a cascade relinks nodes into their new
+//! slot or pushes their key into the front heap without moving the
+//! events. The arena therefore grows to the *peak number of pending
+//! events* and no further. Capacity must follow live state: a long-lived
+//! world (a 100k-flow metropolis keeps ~128k events pending for tens of
+//! simulated seconds) sweeps its deadlines across every slot, so storage
+//! sized per slot would hold the sum of every slot's busiest moment —
+//! several times the pending count. [`EventQueue::storage_capacity`]
+//! exposes the arena size.
+//!
+//! The arena and the front heap's buffer are recycled through a
+//! thread-local pool across `EventQueue` lifetimes (a simulation is built
+//! per trial), so queue construction and steady-state operation stay off
+//! the allocator.
 //!
 //! Pop order is **exactly** `(time, insertion-seq)` — identical to the old
 //! heap, including pushes scheduled in the past (they clamp to the cursor's
@@ -55,32 +73,44 @@ pub enum Event {
     Timer { elem: usize, token: u64 },
 }
 
+/// List terminator for arena links.
+const NIL: u32 = u32::MAX;
+
+/// One arena cell: a queued event and its list link, or a free cell.
 #[derive(Debug)]
-struct Queued {
+struct Node {
     at: Instant,
     seq: u64,
-    event: Event,
+    /// `None` while the cell sits on the free list.
+    event: Option<Event>,
+    /// Next cell in this node's upper-slot list, the overflow list or the
+    /// free list (`NIL` ends each). Unused while the node is in the front.
+    next: u32,
 }
 
-/// Front-heap entry: min-heap by `(at, seq)` (comparison reversed for
-/// `std`'s max-heap).
-#[derive(Debug)]
-struct FrontItem(Queued);
+/// Front-heap key: min-heap by `(at, seq)` (comparison reversed for
+/// `std`'s max-heap); `node` names the arena cell holding the event.
+#[derive(Debug, Clone, Copy)]
+struct FrontKey {
+    at: Instant,
+    seq: u64,
+    node: u32,
+}
 
-impl PartialEq for FrontItem {
+impl PartialEq for FrontKey {
     fn eq(&self, other: &Self) -> bool {
-        (self.0.at, self.0.seq) == (other.0.at, other.0.seq)
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for FrontItem {}
-impl PartialOrd for FrontItem {
+impl Eq for FrontKey {}
+impl PartialOrd for FrontKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for FrontItem {
+impl Ord for FrontKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
+        (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
@@ -98,14 +128,19 @@ const TOTAL_SLOTS: usize = UP_LEVELS * SLOTS;
 /// Deterministic event queue: pops strictly in `(time, insertion order)`.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Current-epoch events, popped directly.
-    front: BinaryHeap<FrontItem>,
-    /// `TOTAL_SLOTS` upper-level buckets, level-major (recycled via the
-    /// thread-local storage pool). Bucket vectors keep their capacity
-    /// across reuse, so the steady state allocates nothing.
-    slots: Vec<Vec<Queued>>,
+    /// Keys of the current-epoch events, popped directly.
+    front: BinaryHeap<FrontKey>,
+    /// Every queued event, plus free cells (recycled via the thread-local
+    /// storage pool).
+    nodes: Vec<Node>,
+    /// Head of the free-cell list.
+    free: u32,
+    /// Cells on the free list.
+    free_len: usize,
+    /// `TOTAL_SLOTS` upper-level list heads, level-major.
+    heads: [u32; TOTAL_SLOTS],
     /// Per-upper-level occupancy bitmap: bit `s` set ⇔
-    /// `slots[u * SLOTS + s]` is non-empty.
+    /// `heads[u * SLOTS + s]` is non-empty.
     occ_up: [u64; UP_LEVELS],
     /// The wheel cursor: a lower bound on every event time in the wheel
     /// (monotone; only ever advanced to popped times / cascade slot bases).
@@ -113,10 +148,12 @@ pub struct EventQueue {
     wheel_now: u64,
     /// Events currently in upper-level slots (excludes front and overflow).
     upper_len: usize,
-    /// Events beyond the wheel horizon, unordered; migrated in when the
-    /// wheel drains. Every overflow time exceeds every wheel time.
-    overflow: Vec<Queued>,
-    /// Earliest `(at, seq)` in `overflow`, maintained on push.
+    /// Head of the list of events beyond the wheel horizon, unordered;
+    /// migrated in when the wheel drains. Every overflow time exceeds
+    /// every wheel time.
+    overflow: u32,
+    overflow_len: usize,
+    /// Earliest `(at, seq)` in the overflow, maintained on push.
     overflow_min: Option<(Instant, u64)>,
     next_seq: u64,
     len: usize,
@@ -131,14 +168,13 @@ impl Default for EventQueue {
     }
 }
 
-/// Retired queue storage: the upper-level slot table plus the front heap's
-/// buffer, both capacity-warm.
-type RetiredStorage = (Vec<Vec<Queued>>, Vec<FrontItem>);
+/// Retired queue storage: the node arena plus the front heap's buffer,
+/// both emptied but capacity-warm.
+type RetiredStorage = (Vec<Node>, Vec<FrontKey>);
 
 std::thread_local! {
-    /// Retired (slots, front-buffer) storage, capacity-warm. A simulation
-    /// is built per trial; recycling keeps queue construction off the
-    /// allocator.
+    /// Retired (arena, front-buffer) storage. A simulation is built per
+    /// trial; recycling keeps queue construction off the allocator.
     static STORAGE_POOL: std::cell::RefCell<Vec<RetiredStorage>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -147,24 +183,17 @@ const STORAGE_POOL_CAP: usize = 4;
 
 impl Drop for EventQueue {
     fn drop(&mut self) {
-        // Clear only the buckets the bitmaps say are occupied (a dropped
-        // mid-run queue may hold events), then hand the storage back.
-        for (u, &bits) in self.occ_up.iter().enumerate() {
-            let mut word = bits;
-            while word != 0 {
-                let s = word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.slots[u * SLOTS + s].clear();
-            }
-        }
-        let storage = std::mem::take(&mut self.slots);
+        // Drop any still-queued events (a mid-run queue may hold some),
+        // then hand the storage back.
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
         let mut front_buf = std::mem::take(&mut self.front).into_vec();
         front_buf.clear();
-        if storage.len() == TOTAL_SLOTS {
+        if nodes.capacity() > 0 {
             let _ = STORAGE_POOL.try_with(|pool| {
                 let mut pool = pool.borrow_mut();
                 if pool.len() < STORAGE_POOL_CAP {
-                    pool.push((storage, front_buf));
+                    pool.push((nodes, front_buf));
                 }
             });
         }
@@ -172,19 +201,36 @@ impl Drop for EventQueue {
 }
 
 impl EventQueue {
+    /// An empty queue on recycled storage when this thread has some.
     pub fn new() -> Self {
-        let (slots, front_buf) = STORAGE_POOL
+        let (nodes, front_buf) = STORAGE_POOL
             .try_with(|pool| pool.borrow_mut().pop())
             .ok()
             .flatten()
-            .unwrap_or_else(|| (std::iter::repeat_with(Vec::new).take(TOTAL_SLOTS).collect(), Vec::new()));
+            .unwrap_or_default();
+        EventQueue::with_storage(nodes, front_buf)
+    }
+
+    /// An empty queue on freshly allocated storage, bypassing the pool —
+    /// for tests that compare fresh against recycled storage.
+    #[doc(hidden)]
+    pub fn with_fresh_storage() -> Self {
+        EventQueue::with_storage(Vec::new(), Vec::new())
+    }
+
+    fn with_storage(nodes: Vec<Node>, front_buf: Vec<FrontKey>) -> Self {
+        debug_assert!(nodes.is_empty() && front_buf.is_empty());
         EventQueue {
             front: BinaryHeap::from(front_buf),
-            slots,
+            nodes,
+            free: NIL,
+            free_len: 0,
+            heads: [NIL; TOTAL_SLOTS],
             occ_up: [0; UP_LEVELS],
             wheel_now: 0,
             upper_len: 0,
-            overflow: Vec::new(),
+            overflow: NIL,
+            overflow_len: 0,
             overflow_min: None,
             next_seq: 0,
             len: 0,
@@ -199,47 +245,89 @@ impl EventQueue {
         if matches!(event, Event::Deliver { .. }) {
             self.deliver_len += 1;
         }
-        self.insert(Queued { at, seq, event });
+        let node = Node {
+            at,
+            seq,
+            event: Some(event),
+            next: NIL,
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.free_len -= 1;
+            self.nodes[idx as usize] = node;
+            idx
+        } else {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event arena exceeds u32 cells");
+            self.nodes.push(node);
+            idx
+        };
+        self.insert(idx);
     }
 
-    /// Place one entry into the front heap, an upper-level slot, or the
+    /// Place cell `idx` into the front heap, an upper-level slot, or the
     /// overflow. Past-due times clamp to the cursor (current epoch), where
     /// the front heap's `(at, seq)` order still yields them first.
-    fn insert(&mut self, q: Queued) {
-        let t = q.at.0.max(self.wheel_now);
+    fn insert(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        let (at, seq) = (node.at, node.seq);
+        let t = at.0.max(self.wheel_now);
         let masked = t ^ self.wheel_now;
         if masked >> L0_BITS == 0 {
             // Same epoch as the cursor: the common, cascade-free case.
-            self.front.push(FrontItem(q));
+            self.front.push(FrontKey { at, seq, node: idx });
             return;
         }
-        if masked >> HORIZON_BITS != 0 {
-            if self.overflow_min.is_none_or(|m| (q.at, q.seq) < m) {
-                self.overflow_min = Some((q.at, q.seq));
+        let head = if masked >> HORIZON_BITS != 0 {
+            if self.overflow_min.is_none_or(|m| (at, seq) < m) {
+                self.overflow_min = Some((at, seq));
             }
-            self.overflow.push(q);
-            return;
+            self.overflow_len += 1;
+            &mut self.overflow
+        } else {
+            // The highest differing bit picks the upper level; within it,
+            // the time's own 6-bit block picks the slot.
+            let up = ((63 - masked.leading_zeros()) as usize - L0_BITS) / LEVEL_BITS;
+            let slot = ((t >> (L0_BITS + up * LEVEL_BITS)) & (SLOTS - 1) as u64) as usize;
+            self.occ_up[up] |= 1 << slot;
+            self.upper_len += 1;
+            &mut self.heads[up * SLOTS + slot]
+        };
+        self.nodes[idx as usize].next = *head;
+        *head = idx;
+    }
+
+    /// Return cell `idx` to the free list and hand out its event.
+    fn release(&mut self, idx: u32) -> Event {
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("front keys name live cells");
+        node.next = self.free;
+        self.free = idx;
+        self.free_len += 1;
+        self.len -= 1;
+        if matches!(event, Event::Deliver { .. }) {
+            self.deliver_len -= 1;
         }
-        // The highest differing bit picks the upper level; within it, the
-        // time's own 6-bit block picks the slot.
-        let up = ((63 - masked.leading_zeros()) as usize - L0_BITS) / LEVEL_BITS;
-        let slot = ((t >> (L0_BITS + up * LEVEL_BITS)) & (SLOTS - 1) as u64) as usize;
-        self.occ_up[up] |= 1 << slot;
-        self.slots[up * SLOTS + slot].push(q);
-        self.upper_len += 1;
+        event
     }
 
     /// Refill the wheel from overflow once it drains. Sound because every
     /// overflow time is strictly beyond every wheel time (they differ from
     /// the cursor above the horizon bit), so migration can never reorder.
     fn migrate_overflow(&mut self) {
-        debug_assert!(self.front.is_empty() && self.upper_len == 0 && !self.overflow.is_empty());
-        let min_at = self.overflow.iter().map(|q| q.at.0).min().expect("overflow non-empty");
-        self.wheel_now = self.wheel_now.max(min_at);
-        let pending = std::mem::take(&mut self.overflow);
-        self.overflow_min = None;
-        for q in pending {
-            self.insert(q);
+        debug_assert!(self.front.is_empty() && self.upper_len == 0 && self.overflow != NIL);
+        let (min_at, _) = self.overflow_min.take().expect("overflow non-empty");
+        self.wheel_now = self.wheel_now.max(min_at.0);
+        let mut cur = std::mem::replace(&mut self.overflow, NIL);
+        self.overflow_len = 0;
+        while cur != NIL {
+            // Read the link before `insert` relinks the cell.
+            let next = self.nodes[cur as usize].next;
+            self.insert(cur);
+            cur = next;
         }
     }
 
@@ -248,23 +336,19 @@ impl EventQueue {
             return None;
         }
         loop {
-            if let Some(FrontItem(q)) = self.front.pop() {
+            if let Some(key) = self.front.pop() {
                 // The front min is the global min: upper levels and
                 // overflow hold strictly-later epochs only.
-                self.len -= 1;
-                if matches!(q.event, Event::Deliver { .. }) {
-                    self.deliver_len -= 1;
-                }
-                self.wheel_now = self.wheel_now.max(q.at.0);
-                return Some((q.at, q.event));
+                self.wheel_now = self.wheel_now.max(key.at.0);
+                return Some((key.at, self.release(key.node)));
             }
             if self.upper_len == 0 {
                 self.migrate_overflow();
                 continue;
             }
             // Cascade: advance the cursor to the earliest occupied upper
-            // slot's base time and re-insert its entries — each lands in
-            // the (new) front epoch or a strictly lower upper level. Upper
+            // slot's base time and relink its cells — each lands in the
+            // (new) front epoch or a strictly lower upper level. Upper
             // levels are totally ordered: every level-u event precedes
             // every level-(u+1) event (shared cursor prefix above block u).
             let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
@@ -273,15 +357,14 @@ impl EventQueue {
             let base = (self.wheel_now & (!0u64 << (shift + LEVEL_BITS))) | ((slot as u64) << shift);
             debug_assert!(base > self.wheel_now);
             self.wheel_now = base;
-            let idx = up * SLOTS + slot;
-            let mut bucket = std::mem::take(&mut self.slots[idx]);
+            let mut cur = std::mem::replace(&mut self.heads[up * SLOTS + slot], NIL);
             self.occ_up[up] &= !(1 << slot);
-            self.upper_len -= bucket.len();
-            for q in bucket.drain(..) {
-                self.insert(q);
+            while cur != NIL {
+                let next = self.nodes[cur as usize].next;
+                self.upper_len -= 1;
+                self.insert(cur);
+                cur = next;
             }
-            // Hand the (empty) allocation back so reuse stays alloc-free.
-            self.slots[idx] = bucket;
         }
     }
 
@@ -298,29 +381,29 @@ impl EventQueue {
         };
         out.push((at, event));
         let mut n = 1;
-        while let Some(FrontItem(q)) = self.front.peek() {
-            if q.at != at {
-                break;
-            }
-            let FrontItem(q) = self.front.pop().expect("peeked non-empty");
-            self.len -= 1;
-            if matches!(q.event, Event::Deliver { .. }) {
-                self.deliver_len -= 1;
-            }
-            out.push((q.at, q.event));
+        while self.front.peek().is_some_and(|key| key.at == at) {
+            let key = self.front.pop().expect("peeked non-empty");
+            out.push((at, self.release(key.node)));
             n += 1;
         }
         n
     }
 
     pub fn peek_time(&self) -> Option<Instant> {
-        if let Some(FrontItem(q)) = self.front.peek() {
-            return Some(q.at);
+        if let Some(key) = self.front.peek() {
+            return Some(key.at);
         }
         if self.upper_len > 0 {
             let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
             let slot = self.occ_up[up].trailing_zeros() as usize;
-            return self.slots[up * SLOTS + slot].iter().map(|q| q.at).min();
+            let mut cur = self.heads[up * SLOTS + slot];
+            let mut min = Instant(u64::MAX);
+            while cur != NIL {
+                let node = &self.nodes[cur as usize];
+                min = min.min(node.at);
+                cur = node.next;
+            }
+            return Some(min);
         }
         self.overflow_min.map(|(at, _)| at)
     }
@@ -335,19 +418,36 @@ impl EventQueue {
         self.deliver_len
     }
 
+    /// Arena cells the queue's storage can hold without reallocating. Every
+    /// queued event occupies exactly one cell, so this tracks the peak
+    /// number of pending events (within `Vec`'s growth factor), never the
+    /// history of which slots were used.
+    pub fn storage_capacity(&self) -> usize {
+        self.nodes.capacity()
+    }
+
     /// Simcheck probe: every queued event must sit in exactly one of the
-    /// front heap, an upper-level slot, or the overflow, and the
-    /// bookkeeping totals must agree. Returns a description of the
-    /// imbalance, or `None` when coherent. O(1).
+    /// front heap, an upper-level slot, or the overflow; every arena cell
+    /// must be either live or free; and the bookkeeping totals must agree.
+    /// Returns a description of the imbalance, or `None` when coherent.
+    /// O(1).
     pub fn structural_imbalance(&self) -> Option<String> {
-        let held = self.front.len() + self.upper_len + self.overflow.len();
-        (held != self.len).then(|| {
-            format!(
+        let held = self.front.len() + self.upper_len + self.overflow_len;
+        if held != self.len {
+            return Some(format!(
                 "event queue holds {held} events (front {} + upper {} + overflow {}) but len says {}",
                 self.front.len(),
                 self.upper_len,
-                self.overflow.len(),
+                self.overflow_len,
                 self.len
+            ));
+        }
+        (self.len + self.free_len != self.nodes.len()).then(|| {
+            format!(
+                "event arena has {} cells but {} live + {} free",
+                self.nodes.len(),
+                self.len,
+                self.free_len
             )
         })
     }
@@ -508,6 +608,67 @@ mod tests {
         assert_eq!(q.pop_batch(&mut out), 2, "both delivers share t=2");
         assert_eq!(q.deliver_len(), 0);
         assert!(q.is_empty());
+    }
+
+    /// Run a metro-shaped schedule on `q` and return its peak `len()`:
+    /// an arrival every millisecond for 40 s of simulated time, each
+    /// pushing +50 µs and +1 ms deliveries, a +1 s retransmit timer and a
+    /// +30 s expiry, with every event popped as time advances.
+    fn metro_schedule(q: &mut EventQueue) -> usize {
+        const ARRIVAL: u64 = 0;
+        q.push(Instant(0), Event::Timer { elem: 0, token: ARRIVAL });
+        let (mut peak, mut last) = (0, 0);
+        while let Some((at, ev)) = q.pop() {
+            assert!(at.0 >= last, "time order");
+            last = at.0;
+            if token_of(ev) == ARRIVAL && at.0 < 40_000_000 {
+                q.push(Instant(at.0 + 1_000), Event::Timer { elem: 0, token: ARRIVAL });
+                for delay in [50, 1_000, 1_000_000, 30_000_000] {
+                    q.push(Instant(at.0 + delay), Event::Timer { elem: 0, token: 1 });
+                }
+            }
+            peak = peak.max(q.len());
+            if at.0 % 997 == 0 {
+                assert_eq!(q.structural_imbalance(), None);
+            }
+        }
+        assert_eq!(q.structural_imbalance(), None);
+        peak
+    }
+
+    #[test]
+    fn storage_follows_peak_pending_not_history() {
+        let mut q = EventQueue::with_fresh_storage();
+        let peak = metro_schedule(&mut q);
+        let cap = q.storage_capacity();
+        assert!(peak > 30_000, "the +30 s expiries pile up: peak {peak}");
+        assert!(cap <= 2 * peak, "arena capacity {cap} for a peak of {peak} pending");
+        drop(q);
+        // The retired arena comes back from this thread's pool and must
+        // absorb an identical run without growing.
+        let mut again = EventQueue::new();
+        assert_eq!(metro_schedule(&mut again), peak);
+        assert_eq!(again.storage_capacity(), cap, "recycled storage grew");
+    }
+
+    #[test]
+    fn structural_probe_checks_arena_bookkeeping() {
+        let mut q = EventQueue::new();
+        for t in [5, 9_000, 1 << 43] {
+            q.push(Instant(t), Event::Timer { elem: 0, token: t });
+        }
+        q.pop();
+        assert_eq!(q.structural_imbalance(), None);
+        q.free_len += 1;
+        assert!(q.structural_imbalance().is_some_and(|d| d.contains("arena")));
+        q.free_len -= 1;
+        q.overflow_len -= 1;
+        assert!(q.structural_imbalance().is_some_and(|d| d.contains("overflow 0")));
+    }
+
+    #[test]
+    fn arena_cells_stay_one_cache_line() {
+        assert!(std::mem::size_of::<Node>() <= 64);
     }
 
     #[test]

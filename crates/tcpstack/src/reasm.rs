@@ -5,8 +5,25 @@
 //! the GFW prefers one copy, the server another. [`SegmentOverlapPolicy`]
 //! makes that choice a first-class parameter shared by the server stack and
 //! the censor model.
+//!
+//! Both consumers — the endpoint socket and the censor's TCB — feed every
+//! data segment through [`Assembler::insert_and_pull`], which behaves
+//! exactly like [`Assembler::insert`] followed by [`Assembler::pull_into`]
+//! but skips the sparse map whenever it can. When nothing is buffered and
+//! the segment starts at or straddles the head (the in-order case, which
+//! is nearly every segment), the fresh bytes go straight into the
+//! consumer's buffer: no copy into a map entry, no map node. And whenever
+//! a pull drains the map, the map is replaced by an unallocated one, so an
+//! idle socket or censor TCB holds no reassembly heap at all — a drained
+//! `BTreeMap` would otherwise keep its 368-byte root node for as long as
+//! the connection lives, which across a 100k-flow censor is tens of
+//! megabytes.
 
 use std::collections::BTreeMap;
+
+/// Hard cap on buffered bytes (a receive window's worth of data): an
+/// insert is refused while this much is already waiting beyond the head.
+pub const REASSEMBLY_CAPACITY: usize = 256 * 1024;
 
 /// Who wins when segment bytes overlap already-buffered bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +42,7 @@ pub enum SegmentOverlapPolicy {
 ///
 /// Tracks data relative to the initial receive sequence. Contiguous bytes
 /// at the head are drained with [`Assembler::pull`]; out-of-order segments
-/// wait in a sparse map.
+/// wait in a sparse map that is unallocated while empty.
 #[derive(Debug)]
 pub struct Assembler {
     policy: SegmentOverlapPolicy,
@@ -34,8 +51,6 @@ pub struct Assembler {
     /// Sparse buffered ranges: start offset -> bytes. Non-overlapping after
     /// normalization.
     segments: BTreeMap<u64, Vec<u8>>,
-    /// Hard cap on buffered bytes (receive window worth of data).
-    capacity: usize,
     /// Simcheck enablement, cached at construction.
     simcheck: bool,
     /// Highest head ever observed (simcheck: the head must never regress).
@@ -48,7 +63,6 @@ impl Assembler {
             policy,
             head: 0,
             segments: BTreeMap::new(),
-            capacity: 256 * 1024,
             simcheck: intang_simcheck::enabled(),
             max_head: 0,
         }
@@ -77,7 +91,7 @@ impl Assembler {
             data = &data[skip..];
             offset = self.head;
         }
-        if data.is_empty() || self.buffered() >= self.capacity {
+        if data.is_empty() || self.buffered() >= REASSEMBLY_CAPACITY {
             return 0;
         }
         let mut stored = 0usize;
@@ -143,6 +157,29 @@ impl Assembler {
         stored
     }
 
+    /// [`Assembler::insert`] then [`Assembler::pull_into`], fused: same
+    /// trimming, capacity check, overlap policy, pulled bytes and simcheck
+    /// validation. When nothing is buffered and the segment reaches the
+    /// head, its fresh bytes are appended straight to `out` without ever
+    /// entering the map (with the map empty the capacity check passes, and
+    /// neither policy has anything to overlap). Returns the number of bytes
+    /// pulled.
+    pub fn insert_and_pull(&mut self, offset: u64, data: &[u8], out: &mut Vec<u8>) -> usize {
+        if self.segments.is_empty() && offset <= self.head {
+            let fresh = data.get((self.head - offset) as usize..).unwrap_or_default();
+            if !fresh.is_empty() {
+                out.extend_from_slice(fresh);
+                self.head += fresh.len() as u64;
+                if self.simcheck {
+                    self.validate("pull");
+                }
+                return fresh.len();
+            }
+        }
+        self.insert(offset, data);
+        self.pull_into(out)
+    }
+
     /// Merge adjacent segments so ranges stay canonical.
     fn normalize(&mut self) {
         let keys: Vec<u64> = self.segments.keys().copied().collect();
@@ -171,6 +208,10 @@ impl Assembler {
         while let Some(seg) = self.segments.remove(&self.head) {
             self.head += seg.len() as u64;
             out.extend_from_slice(&seg);
+        }
+        if self.segments.is_empty() {
+            // An emptied map keeps its root node; free it.
+            self.segments = BTreeMap::new();
         }
         if self.simcheck {
             self.validate("pull");
@@ -221,6 +262,93 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Heap bytes the current thread holds, counted by a global allocator
+    /// installed in this crate's unit-test binary: lets a test prove a
+    /// structure owns no heap without inspecting `BTreeMap` internals.
+    mod live_bytes {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        std::thread_local! {
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+        }
+
+        fn add(delta: isize) {
+            let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+        }
+
+        pub fn get() -> isize {
+            LIVE.with(Cell::get)
+        }
+
+        struct Counting;
+
+        // SAFETY: defers entirely to `System`; the counter has no effect on
+        // the returned memory.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                add(layout.size() as isize);
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                add(-(layout.size() as isize));
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                add(new_size as isize - layout.size() as isize);
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+    }
+
+    #[test]
+    fn drained_assembler_holds_no_segment_storage() {
+        for policy in [SegmentOverlapPolicy::FirstWins, SegmentOverlapPolicy::LastWins] {
+            // Control: an assembler with data waiting owns heap.
+            let mut waiting = Assembler::new(policy);
+            waiting.insert(6, b"world");
+            let live = live_bytes::get();
+            drop(waiting);
+            assert!(live_bytes::get() < live, "the instrument sees map storage");
+
+            let mut a = Assembler::new(policy);
+            a.insert(6, b"world");
+            a.insert(3, b"lo ");
+            a.insert(0, b"hel");
+            let mut out = Vec::new();
+            assert_eq!(a.pull_into(&mut out), 11);
+            assert!(!a.has_gaps());
+            let live = live_bytes::get();
+            drop(a);
+            assert_eq!(live_bytes::get(), live, "{policy:?}: a drained assembler freed heap on drop");
+        }
+    }
+
+    #[test]
+    fn in_order_insert_and_pull_bypasses_the_map() {
+        let mut a = Assembler::new(SegmentOverlapPolicy::LastWins);
+        let mut out = Vec::with_capacity(64);
+        let live = live_bytes::get();
+        assert_eq!(a.insert_and_pull(0, b"GET /", &mut out), 5);
+        assert_eq!(a.insert_and_pull(2, b"T / HTTP", &mut out), 5, "straddles the head");
+        assert_eq!(a.insert_and_pull(0, b"GET", &mut out), 0, "before the head");
+        assert_eq!(live_bytes::get(), live, "the in-order path allocated");
+        assert_eq!(out, b"GET / HTTP");
+        assert_eq!(a.head(), 10);
+        // Out-of-order data still waits in the map and joins on arrival of
+        // the gap, exactly like `insert` + `pull_into`.
+        assert_eq!(a.insert_and_pull(13, b"1.1", &mut out), 0);
+        assert!(a.has_gaps());
+        assert_eq!(a.insert_and_pull(10, b"/1.", &mut out), 6);
+        assert_eq!(out, b"GET / HTTP/1.1.1");
+        assert!(!a.has_gaps());
+    }
 
     #[test]
     fn in_order_stream() {

@@ -685,8 +685,7 @@ impl Socket {
         let base = self.irs.wrapping_add(1);
         if !seg.payload.is_empty() {
             let rel = seg.seq.wrapping_sub(base) as u64;
-            self.asm.insert(rel, &seg.payload);
-            self.asm.pull_into(&mut self.recv_buf);
+            self.asm.insert_and_pull(rel, &seg.payload, &mut self.recv_buf);
             self.rcv_nxt = base.wrapping_add(self.asm.head() as u32);
         }
         if seg.flags.fin() {

@@ -67,17 +67,24 @@ cargo run --release -p intang-experiments --bin fault_matrix -- --smoke >/dev/nu
 # Metropolis smoke: a 1k-flow shared world with the invariant checker on
 # must finish with zero simcheck violations, zero per-flow ordering
 # regressions, and peak RSS under the ceiling (the binary reads VmHWM and
-# exits non-zero past it). Every --smoke runs the domains=1 serial
-# reference, then a parallel leg (multi-domain, 2 workers) byte-compared
-# against it.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+# exits non-zero past it, in every mode). Every --smoke runs the domains=1
+# serial reference, then a parallel leg (multi-domain, 2 workers)
+# byte-compared against it. The 1k-flow smokes peak at 6-7 MB; their
+# 24 MB ceiling is a few times that.
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=24 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke
 # Parallel metropolis smoke at full width: 8 event domains on 8 worker
 # threads under the invariant checker; exits non-zero on any
 # serial/parallel divergence (outcome grid, counters, metrics) or an RSS
 # peak past the ceiling.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=24 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --domains 8 --workers 8
+# Metropolis memory at scale: the 100k-flow serial world (one censor, one
+# deep event queue) peaks at 90 MB; the ceiling sits ~15% above it, so
+# storage that tracks history instead of live state (a timing wheel that
+# keeps every bucket's peak capacity, drained reassembly maps) fails here.
+INTANG_METRO_RSS_MB=104 \
+    cargo run --release -p intang-experiments --bin metropolis -- --quick --flows 100000 --domains 1 --workers 1 >/dev/null
 # Censor-profile gate: every profiles/*.toml must parse, round-trip and
 # compile; the checked-in gfw_prior/gfw_evolved files must drive a quick
 # paper sweep byte-identical (rows, events, metrics, diagnoses) to the
@@ -87,7 +94,7 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 INTANG_SIMCHECK=1 cargo run --release -p intang-experiments --bin censor_profiles >/dev/null
 # Middlebox-enabled metropolis smoke: the seqfw hop behind the censor must
 # not cost serial/parallel identity.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=24 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --middlebox
 # Repo benchmark self-test: perfbench's traced replay mirrors the
 # metropolis topology, PATH_HOPS and lane seeds; its tests check that the

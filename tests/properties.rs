@@ -463,8 +463,12 @@ fn seq_order_sanity() {
 /// The hierarchical timing wheel pops in exactly `(time, insertion-seq)`
 /// order — the contract the old `BinaryHeap` queue provided and that the
 /// golden traces and determinism suite rest on. Random interleavings of
-/// pushes (normal, same-time ties, past-due, and beyond-horizon overflow
-/// times) and pops are compared against a reference heap step by step.
+/// pushes and pops are compared against a reference heap step by step.
+/// Push times cover every tier: the front epoch, each upper wheel level
+/// (link-scale, seconds-scale retransmit/expiry timers, hours ahead),
+/// same-time ties, past-due times, and beyond-horizon overflow. Every
+/// case runs twice: on freshly allocated storage, and on storage recycled
+/// through the thread's pool from a queue dropped mid-run.
 #[test]
 fn event_queue_matches_reference_heap() {
     use intang_netsim::event::{Event, EventQueue};
@@ -477,22 +481,30 @@ fn event_queue_matches_reference_heap() {
         _ => unreachable!("only timers are pushed"),
     };
 
-    for case in 0..200u64 {
+    let run_case = |case: u64, mut q: EventQueue, leg: &str| {
         let mut g = Gen::new(0xa11ce ^ (case << 8));
-        let mut q = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut recent: Vec<u64> = Vec::new();
         let mut seq = 0u64;
+        // Time of the last pop: the queue's clock.
+        let mut now = 0u64;
         for _ in 0..g.range(1, 150) {
             if reference.is_empty() || g.below(5) < 3 {
-                let at = match g.below(10) {
-                    // Beyond the 2^36 µs wheel horizon (overflow list).
+                let at = match g.below(14) {
+                    // Beyond the 2^42 µs wheel horizon (overflow list).
                     0 => 1 + (g.u64() >> g.below(24)),
                     // Time zero / far in the past of anything popped so far.
                     1 => g.u64() % 3,
                     // Reuse an earlier time: exercises FIFO tie-breaking.
                     2 | 3 if !recent.is_empty() => recent[g.below(recent.len())],
-                    // Ordinary microsecond-scale times.
+                    // Seconds ahead: retransmit and 30 s expiry timers
+                    // (upper levels 1–2).
+                    4 | 5 => now + g.u64() % 59_000_001 + 1_000_000,
+                    // Level 3: 2^30 µs (~18 min) to 2^36 µs (~19 h) ahead.
+                    6 => now + (1 << 30) + g.u64() % ((1 << 36) - (1 << 30)),
+                    // Link-scale delays relative to the clock.
+                    7 | 8 => now + g.u64() % 5_000,
+                    // Ordinary absolute microsecond-scale times.
                     _ => g.u64() % 1_000_000,
                 };
                 recent.push(at);
@@ -502,7 +514,8 @@ fn event_queue_matches_reference_heap() {
             } else if g.below(2) == 0 {
                 let Reverse((want_at, want_seq)) = reference.pop().expect("checked non-empty");
                 let (got_at, ev) = q.pop().expect("wheel agrees queue is non-empty");
-                assert_eq!((got_at.0, token_of(ev)), (want_at, want_seq), "case {case}");
+                assert_eq!((got_at.0, token_of(ev)), (want_at, want_seq), "case {case} ({leg})");
+                now = now.max(want_at);
             } else {
                 // `pop_batch` (what the event loop dispatches) must yield
                 // the reference's full run of entries at the minimum time,
@@ -514,24 +527,171 @@ fn event_queue_matches_reference_heap() {
                     want.push(entry);
                 }
                 let mut batch = Vec::new();
-                assert_eq!(q.pop_batch(&mut batch), want.len(), "case {case}");
+                assert_eq!(q.pop_batch(&mut batch), want.len(), "case {case} ({leg})");
                 let got: Vec<(u64, u64)> = batch.into_iter().map(|(at, ev)| (at.0, token_of(ev))).collect();
-                assert_eq!(got, want, "case {case}: batch");
+                assert_eq!(got, want, "case {case} ({leg}): batch");
+                now = now.max(head_at);
             }
             assert_eq!(
                 q.peek_time().map(|t| t.0),
                 reference.peek().map(|Reverse((at, _))| *at),
-                "case {case}"
+                "case {case} ({leg})"
             );
-            assert_eq!(q.len(), reference.len(), "case {case}");
+            assert_eq!(q.len(), reference.len(), "case {case} ({leg})");
+            assert_eq!(q.structural_imbalance(), None, "case {case} ({leg})");
         }
         while let Some(Reverse((want_at, want_seq))) = reference.pop() {
             let (got_at, ev) = q.pop().expect("wheel drains with reference");
-            assert_eq!((got_at.0, token_of(ev)), (want_at, want_seq), "case {case} drain");
+            assert_eq!((got_at.0, token_of(ev)), (want_at, want_seq), "case {case} ({leg}) drain");
         }
         assert!(q.is_empty());
         assert_eq!(q.pop().map(|_| ()), None);
+        assert_eq!(q.structural_imbalance(), None, "case {case} ({leg})");
+    };
+
+    for case in 0..200u64 {
+        run_case(case, EventQueue::with_fresh_storage(), "fresh");
+        // Leave storage in the pool from a queue dropped with events still
+        // pending in every tier and cells on its free list.
+        let mut g = Gen::new(case);
+        let mut dirty = EventQueue::new();
+        for i in 0..g.range(1, 64) {
+            let at = g.u64() >> g.below(64);
+            dirty.push(Instant(at), Event::Timer { elem: 0, token: i as u64 });
+        }
+        for _ in 0..g.below(8) {
+            dirty.pop();
+        }
+        drop(dirty);
+        run_case(case, EventQueue::new(), "recycled");
     }
+}
+
+/// The fused [`Assembler::insert_and_pull`] is observationally identical
+/// to `insert` + `pull_into`, and both match a byte-granular reference
+/// model of the reassembly contract (trim before the head, refuse inserts
+/// while `REASSEMBLY_CAPACITY` bytes wait, FirstWins fills holes only,
+/// LastWins overwrites buffered bytes). Random schedules mix in-order
+/// data, data straddling and wholly before the head, overlaps with
+/// buffered data, out-of-order data, and inserts at the capacity edge;
+/// after every step the pulled bytes, `head()`, `buffered()` and
+/// `has_gaps()` must agree. Runs with the reassembly invariant checker on.
+#[test]
+fn assembler_fused_path_matches_insert_pull_and_model() {
+    use intang_tcpstack::reasm::REASSEMBLY_CAPACITY;
+    use std::collections::BTreeMap;
+
+    /// One byte per sequence offset: the contract, with no ranges to
+    /// split or merge.
+    struct Model {
+        last_wins: bool,
+        head: u64,
+        bytes: BTreeMap<u64, u8>,
+    }
+    impl Model {
+        fn insert(&mut self, offset: u64, data: &[u8]) {
+            let skip = self.head.saturating_sub(offset) as usize;
+            if skip >= data.len() || self.bytes.len() >= REASSEMBLY_CAPACITY {
+                return;
+            }
+            for (at, &b) in (offset + skip as u64..).zip(&data[skip..]) {
+                if self.last_wins {
+                    self.bytes.insert(at, b);
+                } else {
+                    self.bytes.entry(at).or_insert(b);
+                }
+            }
+        }
+        fn pull_into(&mut self, out: &mut Vec<u8>) {
+            while let Some(b) = self.bytes.remove(&self.head) {
+                out.push(b);
+                self.head += 1;
+            }
+        }
+    }
+
+    let prev = intang_simcheck::set_thread(Some(true));
+    intang_simcheck::take_violations();
+    for case in 0..128u64 {
+        let mut g = Gen::new(0x0a55_e3b1 ^ (case << 8));
+        let last_wins = g.bool();
+        let policy = if last_wins {
+            SegmentOverlapPolicy::LastWins
+        } else {
+            SegmentOverlapPolicy::FirstWins
+        };
+        let mut fused = Assembler::new(policy);
+        let mut paired = Assembler::new(policy);
+        let mut model = Model {
+            last_wins,
+            head: 0,
+            bytes: BTreeMap::new(),
+        };
+        // One capacity-edge fill in every 32nd case (a fill is 256 KiB).
+        let mut fill_budget = usize::from(case % 32 == 0);
+        for step in 0..g.range(1, 120) {
+            let head = model.head;
+            let far = model.bytes.last_key_value().map_or(head, |(&k, _)| k + 1);
+            let (offset, data) = match g.below(12) {
+                // In order.
+                0..=3 => (head, g.bytes(1, 700)),
+                // Straddling the head.
+                4 if head > 0 => {
+                    let back = 1 + g.below(head.min(200) as usize);
+                    (head - back as u64, g.bytes(back + 1, back + 600))
+                }
+                // Wholly before the head (a retransmission).
+                5 if head > 0 => {
+                    let back = 1 + g.below(head.min(3000) as usize);
+                    (head - back as u64, g.bytes(1, back + 1))
+                }
+                // At the head, covering buffered data.
+                6 => (head, g.bytes(1, 1500)),
+                // Capacity edge: one segment beyond everything buffered
+                // that leaves the total a byte short of, at, or past the
+                // cap; the steps after it probe the `>=` refusal.
+                7 if fill_budget > 0 && model.bytes.len() < REASSEMBLY_CAPACITY - 2 => {
+                    fill_budget -= 1;
+                    let len = REASSEMBLY_CAPACITY - 1 - model.bytes.len() + g.below(3);
+                    (far + 1 + g.below(16) as u64, vec![g.u8(); len])
+                }
+                // Out of order, often overlapping earlier out-of-order data.
+                _ => (head + 1 + g.below(2000) as u64, g.bytes(1, 500)),
+            };
+
+            let mut got_fused = Vec::new();
+            let mut got_paired = Vec::new();
+            let mut want = Vec::new();
+            let n = fused.insert_and_pull(offset, &data, &mut got_fused);
+            paired.insert(offset, &data);
+            paired.pull_into(&mut got_paired);
+            model.insert(offset, &data);
+            model.pull_into(&mut want);
+
+            let ctx = format!("case {case} step {step} ({policy:?}, offset {offset}, {} bytes)", data.len());
+            assert_eq!(n, got_fused.len(), "{ctx}: returned count");
+            assert!(
+                got_fused == want,
+                "{ctx}: fused pulled {} bytes, model {}",
+                got_fused.len(),
+                want.len()
+            );
+            assert!(
+                got_paired == want,
+                "{ctx}: paired pulled {} bytes, model {}",
+                got_paired.len(),
+                want.len()
+            );
+            for (name, asm) in [("fused", &fused), ("paired", &paired)] {
+                assert_eq!(asm.head(), model.head, "{ctx}: {name} head");
+                assert_eq!(asm.buffered(), model.bytes.len(), "{ctx}: {name} buffered");
+                assert_eq!(asm.has_gaps(), !model.bytes.is_empty(), "{ctx}: {name} has_gaps");
+            }
+        }
+    }
+    let violations = intang_simcheck::take_violations();
+    intang_simcheck::set_thread(prev);
+    assert!(violations.is_empty(), "reassembly invariant violations: {violations:?}");
 }
 
 /// Copy-on-write isolation: a cloned wire (the censor tap's "copy", a

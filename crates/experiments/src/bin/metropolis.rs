@@ -330,6 +330,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
+    let _ = writeln!(json, "  \"provenance\": {},", intang_experiments::provenance::json());
     let _ = writeln!(json, "  \"master_seed\": {},", args.seed);
     let _ = writeln!(json, "  \"shards\": {shards},");
     let _ = writeln!(json, "  \"cores\": {ncores},");

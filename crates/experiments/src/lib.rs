@@ -22,6 +22,7 @@
 pub mod args;
 pub mod metropolis;
 pub mod progress;
+pub mod provenance;
 pub mod report;
 pub mod runner;
 pub mod scenario;

@@ -288,8 +288,11 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
         domains,
         domain,
     );
-    for (tuple, kind) in clients_el.tuples().iter().zip(&world.strategies) {
-        intang.preset_strategy(*tuple, *kind);
+    // Only this domain's flows ever cross its shim.
+    for id in clients_el.owned_flows() {
+        if let Some(kind) = world.strategies.get(id as usize) {
+            intang.preset_strategy(clients_el.tuples()[id as usize], *kind);
+        }
     }
     let shim = intang.clone();
     clients_el.set_retire_hook(Box::new(move |tuple| shim.retire_flow(tuple)));
@@ -384,7 +387,8 @@ pub struct MetroDomainsRun {
 /// Everything one domain worker ships back to the merge — plain data
 /// only; simulations, wires and `Rc` handles never cross threads.
 struct DomainOut {
-    results: Vec<FlowResult>,
+    /// `(flow id, result)` of the flows this domain owns.
+    results: Vec<(u32, FlowResult)>,
     counts: (u64, u64, u64, u64),
     events: u64,
     collateral_resets: u64,
@@ -435,7 +439,7 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
     sim.export_metrics(&mut metrics);
     let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
     DomainOut {
-        results: parts.metro.results(),
+        results: parts.metro.owned_results(),
         counts: parts.metro.counts(),
         events,
         collateral_resets: parts.gfw.blacklist_collateral_resets(),
@@ -538,11 +542,11 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
         };
         flows
     ];
-    for (i, slot) in results.iter_mut().enumerate() {
-        // Every domain's grid carries the full shard column; the owner of
-        // flow i is its shard mod domains.
-        let shard = outs[0].results[i].shard;
-        *slot = outs[(shard % domains) as usize].results[i];
+    // Every flow is owned by exactly one domain, which ships its row.
+    for o in &outs {
+        for &(id, r) in &o.results {
+            results[id as usize] = r;
+        }
     }
     let mut counts = (0u64, 0u64, 0u64, 0u64);
     let mut events = 0u64;

@@ -12,10 +12,11 @@ use crate::config::{EvictionPolicy, GfwConfig, GfwGeneration};
 use crate::dpi::{Automaton, DetectionKind};
 use crate::probe::ActiveProber;
 use crate::reset::ResetInjector;
+use crate::table::TcbTable;
 use crate::tcb::{CensorState, CensorTcb};
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant};
 use intang_packet::frag::Reassembler;
-use intang_packet::{dns, udp, FourTuple, FxHashMap, IpProtocol, Ipv4Packet, Ipv4Repr, TcpPacket, TcpRepr, Wire};
+use intang_packet::{dns, udp, FourTuple, IpProtocol, Ipv4Packet, Ipv4Repr, TcpPacket, TcpRepr, Wire};
 use intang_telemetry::{span, Counter, GaugeId, GaugeSample, MetricsSheet, SpanId};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -140,13 +141,16 @@ struct GfwCore {
     /// Simcheck shadow domain for this device's TCB table (0 when checking
     /// is disabled).
     sc_domain: u64,
-    tcbs: FxHashMap<FourTuple, CensorTcb>,
+    tcbs: TcbTable,
     /// Censor-state lanes; index = `pair_shard(src, dst, lanes.len())`.
     lanes: Vec<CensorLane>,
     blacklist: Blacklist,
     prober: ActiveProber,
     ip_reasm: Reassembler,
     stats: GfwStats,
+    /// Simcheck create (`true`) / remove calls, in order (unit tests only).
+    #[cfg(test)]
+    sc_calls: Vec<(bool, FourTuple)>,
 }
 
 /// The censor tap element. Clone-cheap handles ([`GfwHandle`]) give tests
@@ -205,12 +209,14 @@ impl GfwElement {
             cfg,
             aut,
             sc_domain: intang_simcheck::new_tcb_domain(),
-            tcbs: FxHashMap::default(),
+            tcbs: TcbTable::default(),
             lanes,
             blacklist: Blacklist::new(),
             prober: ActiveProber::new(),
             ip_reasm,
             stats: GfwStats::default(),
+            #[cfg(test)]
+            sc_calls: Vec::new(),
         }));
         (
             GfwElement {
@@ -534,7 +540,7 @@ impl GfwCore {
         // ---- TCB lifecycle -------------------------------------------------
         let evolved = self.cfg.generation == GfwGeneration::Evolved;
 
-        if !self.tcbs.contains_key(&key) {
+        let Some(slot) = self.tcbs.slot(&key) else {
             if seg.flags.syn() && !seg.flags.ack() {
                 let mut tcb = CensorTcb::from_syn(src, dst, seg.seq, self.cfg.segment_overlap);
                 tcb.overloaded = lane_rng(&mut lane.rng, ctx).chance(self.cfg.overload_miss_prob);
@@ -547,17 +553,17 @@ impl GfwCore {
                 self.insert_tcb(lane, key, tcb);
             }
             return;
-        }
+        };
 
         // Work on the existing TCB.
         if self.cfg.eviction == EvictionPolicy::Lru {
-            self.touch_tcb(lane, key);
+            self.touch_tcb(lane, key, slot);
         }
         let mut remove = false;
         let mut resynced = false;
         let mut detections: Vec<DetectionKind> = Vec::new();
         {
-            let tcb = self.tcbs.get_mut(&key).expect("checked above");
+            let tcb = self.tcbs.at_mut(slot);
             let from_client = tcb.is_client(src.0, src.1);
 
             if seg.flags.rst() {
@@ -715,14 +721,11 @@ impl GfwCore {
             self.note_resync(lane, ctx.now);
         }
         if remove {
-            self.tcbs.remove(&key);
-            lane.tcb_count -= 1;
-            self.stats.tcbs_removed += 1;
-            intang_simcheck::tcb_removed(self.sc_domain, key);
+            self.remove_tcb(lane, key);
             return;
         }
         if !detections.is_empty() {
-            self.act_on_detections(ctx, lane, key, detections);
+            self.act_on_detections(ctx, lane, key, slot, detections);
         }
     }
 
@@ -749,10 +752,9 @@ impl GfwCore {
     /// entry; the entry it supersedes goes stale and is skipped at
     /// eviction time. Compaction keeps the lazy deque from growing without
     /// bound on long runs.
-    fn touch_tcb(&mut self, lane: &mut CensorLane, key: FourTuple) {
+    fn touch_tcb(&mut self, lane: &mut CensorLane, key: FourTuple, slot: u32) {
         lane.touch_seq += 1;
-        let Some(tcb) = self.tcbs.get_mut(&key) else { return };
-        tcb.touched = lane.touch_seq;
+        self.tcbs.at_mut(slot).touched = lane.touch_seq;
         lane.tcb_order.push_back((key, lane.touch_seq));
         if lane.tcb_order.len() > lane.tcb_count * 4 + 16 {
             // Drop stale entries (stamp no longer current), keeping the
@@ -774,7 +776,7 @@ impl GfwCore {
                 self.tcbs.remove(&victim);
                 lane.tcb_count -= 1;
                 self.stats.tcbs_evicted += 1;
-                intang_simcheck::tcb_removed(self.sc_domain, victim);
+                self.note_tcb_legality(false, victim);
             }
         }
         lane.touch_seq += 1;
@@ -784,13 +786,34 @@ impl GfwCore {
         lane.tcb_count += 1;
         lane.tcb_order.push_back((key, lane.touch_seq));
         self.stats.tcbs_created += 1;
-        intang_simcheck::tcb_created(self.sc_domain, key);
+        self.note_tcb_legality(true, key);
     }
 
-    fn act_on_detections(&mut self, ctx: &mut Ctx<'_>, lane: &mut CensorLane, key: FourTuple, kinds: Vec<DetectionKind>) {
+    /// Tear one TCB down (RST/FIN processing).
+    fn remove_tcb(&mut self, lane: &mut CensorLane, key: FourTuple) {
+        self.tcbs.remove(&key);
+        lane.tcb_count -= 1;
+        self.stats.tcbs_removed += 1;
+        self.note_tcb_legality(false, key);
+    }
+
+    /// The simcheck TCB-legality hook for a creation or a removal (teardown
+    /// or eviction). Unit tests also log the calls, to compare them with a
+    /// reference table's.
+    fn note_tcb_legality(&mut self, created: bool, key: FourTuple) {
+        #[cfg(test)]
+        self.sc_calls.push((created, key));
+        if created {
+            intang_simcheck::tcb_created(self.sc_domain, key);
+        } else {
+            intang_simcheck::tcb_removed(self.sc_domain, key);
+        }
+    }
+
+    fn act_on_detections(&mut self, ctx: &mut Ctx<'_>, lane: &mut CensorLane, key: FourTuple, slot: u32, kinds: Vec<DetectionKind>) {
         intang_simcheck::tcb_detection(self.sc_domain, key);
         let (client, server, client_next, server_next, already) = {
-            let tcb = self.tcbs.get(&key).expect("tcb present");
+            let tcb = self.tcbs.at(slot);
             (tcb.client, tcb.server, tcb.client_next(), tcb.server_next, tcb.detected)
         };
         for kind in kinds {
@@ -817,7 +840,7 @@ impl GfwCore {
                             self.blacklist.add(client.0, server.0, ctx.now, duration, origin);
                             self.stats.blacklist_inserts += 1;
                         }
-                        self.tcbs.get_mut(&key).expect("tcb present").detected = true;
+                        self.tcbs.at_mut(slot).detected = true;
                     }
                 }
                 DetectionKind::TorHandshake => {
@@ -832,7 +855,7 @@ impl GfwCore {
                 DetectionKind::VpnHandshake => {
                     if self.cfg.vpn_dpi && !already {
                         self.inject_detection_resets(ctx, lane, client, server, client_next, server_next);
-                        self.tcbs.get_mut(&key).expect("tcb present").detected = true;
+                        self.tcbs.at_mut(slot).detected = true;
                     }
                 }
             }
@@ -932,6 +955,151 @@ impl GfwCore {
                 ctx.send_delayed(dir.reversed(), w, d);
                 self.stats.resets_injected += 1;
                 self.stats.type2_resets_injected += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use intang_netsim::SimRng;
+    use std::collections::{HashMap, VecDeque};
+
+    /// One lane of the reference table: the eviction bookkeeping exactly
+    /// as the device keeps it.
+    struct RefLane {
+        order: VecDeque<(FourTuple, u64)>,
+        seq: u64,
+        count: usize,
+        quota: usize,
+    }
+
+    /// The reference TCB table: each live key's touch stamp in a plain
+    /// map, no slab.
+    struct RefTable {
+        touched: HashMap<FourTuple, u64>,
+        lanes: Vec<RefLane>,
+        evicted: u64,
+        calls: Vec<(bool, FourTuple)>,
+    }
+
+    impl RefTable {
+        fn insert(&mut self, l: usize, key: FourTuple) {
+            let lane = &mut self.lanes[l];
+            while lane.count >= lane.quota {
+                let Some((victim, stamp)) = lane.order.pop_front() else { break };
+                if self.touched.get(&victim) == Some(&stamp) {
+                    self.touched.remove(&victim);
+                    lane.count -= 1;
+                    self.evicted += 1;
+                    self.calls.push((false, victim));
+                }
+            }
+            lane.seq += 1;
+            self.touched.insert(key, lane.seq);
+            lane.count += 1;
+            lane.order.push_back((key, lane.seq));
+            self.calls.push((true, key));
+        }
+
+        fn touch(&mut self, l: usize, key: FourTuple) {
+            let lane = &mut self.lanes[l];
+            lane.seq += 1;
+            self.touched.insert(key, lane.seq);
+            lane.order.push_back((key, lane.seq));
+            if lane.order.len() > lane.count * 4 + 16 {
+                let touched = &self.touched;
+                lane.order.retain(|(k, stamp)| touched.get(k) == Some(stamp));
+            }
+        }
+
+        fn remove(&mut self, l: usize, key: FourTuple) {
+            self.touched.remove(&key);
+            self.lanes[l].count -= 1;
+            self.calls.push((false, key));
+        }
+    }
+
+    /// Random inserts, LRU touches, teardowns and reinsertions of a small
+    /// key pool under capacity pressure, applied to the device's slab table
+    /// and to the reference after every step.
+    fn drive(eviction: EvictionPolicy, lanes: u32, seed: u64) {
+        let mut cfg = GfwConfig::evolved();
+        cfg.max_tcbs = 13;
+        cfg.eviction = eviction;
+        cfg.state_shards = lanes;
+        let (_el, handle) = GfwElement::labeled(cfg, "GFW");
+        let mut core = handle.core.borrow_mut();
+        let mut reference = RefTable {
+            touched: HashMap::new(),
+            lanes: core
+                .lanes
+                .iter()
+                .map(|l| RefLane {
+                    order: VecDeque::new(),
+                    seq: 0,
+                    count: 0,
+                    quota: l.quota,
+                })
+                .collect(),
+            evicted: 0,
+            calls: Vec::new(),
+        };
+        let keys: Vec<FourTuple> = (0..48u16)
+            .map(|i| {
+                let client = Ipv4Addr::new(10, 0, (i % 6) as u8, 1);
+                let site = Ipv4Addr::new(203, 0, 113, (i % 3 + 1) as u8);
+                FourTuple::new(client, 40_000 + i, site, 80).canonical()
+            })
+            .collect();
+        let mut rng = SimRng::seed_from(seed);
+        let mut peak_live = 0;
+        for step in 0..4_000u32 {
+            let key = keys[rng.index(keys.len())];
+            let l = intang_packet::pair_shard(key.src, key.dst, lanes) as usize;
+            let mut lane = std::mem::take(&mut core.lanes[l]);
+            match core.tcbs.slot(&key) {
+                None => {
+                    let tcb = CensorTcb::from_syn((key.src, key.src_port), (key.dst, key.dst_port), step, core.cfg.segment_overlap);
+                    core.insert_tcb(&mut lane, key, tcb);
+                    reference.insert(l, key);
+                }
+                Some(slot) if eviction == EvictionPolicy::Lru && rng.chance(0.5) => {
+                    core.touch_tcb(&mut lane, key, slot);
+                    reference.touch(l, key);
+                }
+                Some(_) if rng.chance(0.4) => {
+                    core.remove_tcb(&mut lane, key);
+                    reference.remove(l, key);
+                }
+                Some(_) => {}
+            }
+            core.lanes[l] = lane;
+
+            let ctx = format!("{eviction:?}, {lanes} lane(s), seed {seed}, step {step}");
+            assert_eq!(core.tcbs.len(), reference.touched.len(), "{ctx}");
+            for k in &keys {
+                let got = core.tcbs.get(k).map(|t| t.touched);
+                assert_eq!(got, reference.touched.get(k).copied(), "{ctx}: lookup of {k:?}");
+            }
+            for (got, want) in core.lanes.iter().zip(&reference.lanes) {
+                assert_eq!(got.tcb_count, want.count, "{ctx}: lane tcb_count");
+            }
+            assert_eq!(core.stats.tcbs_evicted, reference.evicted, "{ctx}: evictions");
+            assert_eq!(core.sc_calls, reference.calls, "{ctx}: simcheck create/remove calls");
+            peak_live = peak_live.max(core.tcbs.len());
+            assert_eq!(core.tcbs.slab_len(), peak_live, "{ctx}: the slab grows only past the live peak");
+        }
+        assert!(reference.evicted > 0, "the pool must overflow the table");
+    }
+
+    #[test]
+    fn slab_table_matches_a_reference_map_under_fifo_and_lru_eviction() {
+        for seed in 0..6 {
+            for lanes in [1, 3] {
+                drive(EvictionPolicy::Oldest, lanes, seed);
+                drive(EvictionPolicy::Lru, lanes, seed);
             }
         }
     }

@@ -30,6 +30,7 @@ pub mod dpi;
 pub mod probe;
 pub mod profile;
 pub mod reset;
+mod table;
 pub mod tcb;
 
 pub use config::{EvictionPolicy, GfwConfig, GfwGeneration, ProfileTag};

@@ -331,41 +331,62 @@ impl EventQueue {
         }
     }
 
-    pub fn pop(&mut self) -> Option<(Instant, Event)> {
+    /// Bring the earliest queued event into the front heap and return its
+    /// time: cascade upper-level slots (and migrate the overflow) until the
+    /// front is non-empty. A settled queue pops without further cascades,
+    /// so the event loop settles once per batch instead of scanning the
+    /// earliest upper slot to peek and relinking it again to pop.
+    ///
+    /// Settling may move the cursor past times that are later pushed (an
+    /// event loop settles, finds the head beyond its deadline and returns
+    /// to a caller that schedules more). Such pushes clamp into the front
+    /// epoch like any past-due push, so pop order stays exactly `(time,
+    /// seq)`.
+    pub fn settle(&mut self) -> Option<Instant> {
         if self.len == 0 {
             return None;
         }
         loop {
-            if let Some(key) = self.front.pop() {
+            if let Some(key) = self.front.peek() {
                 // The front min is the global min: upper levels and
                 // overflow hold strictly-later epochs only.
-                self.wheel_now = self.wheel_now.max(key.at.0);
-                return Some((key.at, self.release(key.node)));
+                return Some(key.at);
             }
             if self.upper_len == 0 {
                 self.migrate_overflow();
-                continue;
-            }
-            // Cascade: advance the cursor to the earliest occupied upper
-            // slot's base time and relink its cells — each lands in the
-            // (new) front epoch or a strictly lower upper level. Upper
-            // levels are totally ordered: every level-u event precedes
-            // every level-(u+1) event (shared cursor prefix above block u).
-            let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
-            let slot = self.occ_up[up].trailing_zeros() as usize;
-            let shift = L0_BITS + up * LEVEL_BITS;
-            let base = (self.wheel_now & (!0u64 << (shift + LEVEL_BITS))) | ((slot as u64) << shift);
-            debug_assert!(base > self.wheel_now);
-            self.wheel_now = base;
-            let mut cur = std::mem::replace(&mut self.heads[up * SLOTS + slot], NIL);
-            self.occ_up[up] &= !(1 << slot);
-            while cur != NIL {
-                let next = self.nodes[cur as usize].next;
-                self.upper_len -= 1;
-                self.insert(cur);
-                cur = next;
+            } else {
+                self.cascade();
             }
         }
+    }
+
+    /// Advance the cursor to the earliest occupied upper slot's base time
+    /// and relink its cells — each lands in the (new) front epoch or a
+    /// strictly lower upper level. Upper levels are totally ordered: every
+    /// level-u event precedes every level-(u+1) event (shared cursor prefix
+    /// above block u).
+    fn cascade(&mut self) {
+        let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
+        let slot = self.occ_up[up].trailing_zeros() as usize;
+        let shift = L0_BITS + up * LEVEL_BITS;
+        let base = (self.wheel_now & (!0u64 << (shift + LEVEL_BITS))) | ((slot as u64) << shift);
+        debug_assert!(base > self.wheel_now);
+        self.wheel_now = base;
+        let mut cur = std::mem::replace(&mut self.heads[up * SLOTS + slot], NIL);
+        self.occ_up[up] &= !(1 << slot);
+        while cur != NIL {
+            let next = self.nodes[cur as usize].next;
+            self.upper_len -= 1;
+            self.insert(cur);
+            cur = next;
+        }
+    }
+
+    pub fn pop(&mut self) -> Option<(Instant, Event)> {
+        self.settle()?;
+        let key = self.front.pop().expect("a settled queue has a front");
+        self.wheel_now = self.wheel_now.max(key.at.0);
+        Some((key.at, self.release(key.node)))
     }
 
     /// Drain the entire run of events sharing the minimal timestamp into

@@ -266,7 +266,7 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
         let _s = intang_telemetry::span(SpanId::EventLoop);
         let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.queue.settle() {
             if t > deadline {
                 break;
             }

@@ -27,6 +27,16 @@ pub struct StackStats {
     pub resets_rx: u64,
 }
 
+/// One socket-table entry: the socket plus the endpoint's bookkeeping
+/// for it, kept inline so a one-connection endpoint needs one allocation.
+pub(crate) struct SocketSlot {
+    sock: Socket,
+    /// Opened by `connect` (a server socket is accepted from a listener).
+    client: bool,
+    /// Retired: skipped by demux/poll/timers, its index on the free list.
+    retired: bool,
+}
+
 /// A host's TCP layer.
 pub struct TcpEndpoint {
     pub addr: Ipv4Addr,
@@ -39,11 +49,10 @@ pub struct TcpEndpoint {
     /// long-lived endpoint that retires finished flows stays bounded by its
     /// *concurrent* socket count (the table was historically grow-only,
     /// which forced multiplexers into one-endpoint-per-flow workarounds).
-    sockets: Vec<Socket>,
-    /// Parallel to `sockets`: true when the socket was opened by `connect`.
-    client_flags: Vec<bool>,
-    /// Parallel to `sockets`: slot retired, skipped by demux/poll/timers.
-    retired: Vec<bool>,
+    /// The first socket reserves exactly one slot: most endpoints (every
+    /// metropolis cell) never hold a second, and a default-grown table
+    /// would carry three empty slots per live connection.
+    sockets: Vec<SocketSlot>,
     /// Indices of retired slots available for reuse.
     free: Vec<usize>,
     listeners: Vec<u16>,
@@ -52,10 +61,6 @@ pub struct TcpEndpoint {
     accepted: Vec<SocketHandle>,
     out: Vec<Wire>,
     ip_reasm: Reassembler,
-    /// Scratch repr reused by `on_packet`: parsing a segment into it reuses
-    /// the previous segment's `options`/`payload` capacity, so the receive
-    /// path stops allocating once warm.
-    rx_seg: TcpRepr,
     isn_counter: u32,
     ident_counter: u16,
     ephemeral_next: u16,
@@ -63,7 +68,6 @@ pub struct TcpEndpoint {
 
 impl Drop for TcpEndpoint {
     fn drop(&mut self) {
-        crate::pool::put_repr(std::mem::replace(&mut self.rx_seg, TcpRepr::new(0, 0)));
         // Dropping the sockets inside put_socket_table recycles their
         // queues; the table, datagram queue and ignore-log storage keep
         // their capacity for the next endpoint on this thread.
@@ -81,8 +85,6 @@ impl TcpEndpoint {
             ignore_log: IgnoreLog::pooled(),
             stats: StackStats::default(),
             sockets: crate::pool::take_socket_table(),
-            client_flags: Vec::new(),
-            retired: Vec::new(),
             free: Vec::new(),
             listeners: Vec::new(),
             accepted: Vec::new(),
@@ -91,10 +93,6 @@ impl TcpEndpoint {
             // server variant (§3.4) is modeled by profiles that set
             // FirstWins via `set_ip_overlap`.
             ip_reasm: Reassembler::new(OverlapPolicy::LastWins),
-            // Leased from the thread-local repr pool so a fresh endpoint
-            // inherits a previous one's grown options/payload capacity
-            // (returned in Drop).
-            rx_seg: crate::pool::take_repr(0, 0),
             isn_counter: 0x1000_0000,
             ident_counter: 1,
             ephemeral_next: 40_000,
@@ -131,17 +129,21 @@ impl TcpEndpoint {
 
     /// Place a socket in a free (retired) slot if one exists, else append.
     fn install_socket(&mut self, sock: Socket, client: bool) -> SocketHandle {
+        let slot = SocketSlot {
+            sock,
+            client,
+            retired: false,
+        };
         match self.free.pop() {
             Some(idx) => {
-                self.sockets[idx] = sock;
-                self.client_flags[idx] = client;
-                self.retired[idx] = false;
+                self.sockets[idx] = slot;
                 SocketHandle(idx)
             }
             None => {
-                self.sockets.push(sock);
-                self.client_flags.push(client);
-                self.retired.push(false);
+                if self.sockets.capacity() == 0 {
+                    self.sockets.reserve_exact(1);
+                }
+                self.sockets.push(slot);
                 SocketHandle(self.sockets.len() - 1)
             }
         }
@@ -155,12 +157,12 @@ impl TcpEndpoint {
     /// count.
     pub fn retire_socket(&mut self, h: SocketHandle) {
         let idx = h.0;
-        if idx >= self.sockets.len() || self.retired[idx] {
+        if self.sockets.get(idx).is_none_or(|s| s.retired) {
             return;
         }
         // Flush anything the socket had queued (e.g. its final FIN/ACK).
         self.drain_socket(idx);
-        self.retired[idx] = true;
+        self.sockets[idx].retired = true;
         self.free.push(idx);
     }
 
@@ -171,8 +173,7 @@ impl TcpEndpoint {
     pub fn all_settled(&self) -> bool {
         self.sockets
             .iter()
-            .enumerate()
-            .all(|(i, s)| self.retired[i] || matches!(s.state(), TcpState::Closed | TcpState::TimeWait))
+            .all(|s| s.retired || matches!(s.sock.state(), TcpState::Closed | TcpState::TimeWait))
     }
 
     fn next_isn(&mut self) -> u32 {
@@ -190,11 +191,11 @@ impl TcpEndpoint {
     }
 
     pub fn socket(&mut self, h: SocketHandle) -> &mut Socket {
-        &mut self.sockets[h.0]
+        &mut self.sockets[h.0].sock
     }
 
     pub fn socket_ref(&self, h: SocketHandle) -> &Socket {
-        &self.sockets[h.0]
+        &self.sockets[h.0].sock
     }
 
     /// Server sockets that became ESTABLISHED since the last call.
@@ -233,16 +234,18 @@ impl TcpEndpoint {
 
         let remote = ip.src_addr();
         let tuple_local = FourTuple::new(self.addr, tcp.dst_port(), remote, tcp.src_port());
-        // Move the scratch repr out (putting it back below) so `&seg` and
-        // `&mut self` can coexist across the socket calls.
-        let mut seg = std::mem::replace(&mut self.rx_seg, TcpRepr::new(0, 0));
+        // The parsed segment lives in a repr leased from the thread-local
+        // pool for this packet only: its options/payload capacity is
+        // shared by every endpoint on the thread instead of held per
+        // endpoint between packets.
+        let mut seg = crate::pool::take_repr(0, 0);
         TcpRepr::parse_into(&tcp, &mut seg);
         self.stats.segments_rx += 1;
         if seg.flags.rst() {
             self.stats.resets_rx += 1;
         }
         self.dispatch_segment(&seg, tuple_local, remote, now);
-        self.rx_seg = seg;
+        crate::pool::put_repr(seg);
     }
 
     /// Demux one validated TCP segment to a socket, a listener, or the
@@ -252,13 +255,13 @@ impl TcpEndpoint {
         if let Some(idx) = self
             .sockets
             .iter()
-            .enumerate()
-            .position(|(i, s)| !self.retired[i] && s.tuple == tuple_local && s.state() != TcpState::Closed)
+            .position(|s| !s.retired && s.sock.tuple == tuple_local && s.sock.state() != TcpState::Closed)
         {
-            let was_established = self.sockets[idx].is_established();
-            self.sockets[idx].process(seg, now, &mut self.ignore_log);
-            self.sockets[idx].schedule_time_wait(now);
-            if !was_established && self.sockets[idx].is_established() && !self.is_client_socket(idx) {
+            let slot = &mut self.sockets[idx];
+            let was_established = slot.sock.is_established();
+            slot.sock.process(seg, now, &mut self.ignore_log);
+            slot.sock.schedule_time_wait(now);
+            if !was_established && slot.sock.is_established() && !slot.client {
                 self.accepted.push(SocketHandle(idx));
             }
             self.drain_socket(idx);
@@ -293,20 +296,16 @@ impl TcpEndpoint {
         }
     }
 
-    fn is_client_socket(&self, idx: usize) -> bool {
-        *self.client_flags.get(idx).unwrap_or(&true)
-    }
-
     /// Wrap queued TCP segments of socket `idx` into IP datagrams.
     fn drain_socket(&mut self, idx: usize) {
-        let dst = self.sockets[idx].tuple.dst;
-        let mut segs = std::mem::take(&mut self.sockets[idx].out);
+        let dst = self.sockets[idx].sock.tuple.dst;
+        let mut segs = std::mem::take(&mut self.sockets[idx].sock.out);
         for seg in segs.drain(..) {
             self.push_wire(dst, seg);
         }
         // Hand the drained (now empty) queue back so its capacity survives
         // to the next flush.
-        self.sockets[idx].out = segs;
+        self.sockets[idx].sock.out = segs;
     }
 
     fn push_wire(&mut self, dst: Ipv4Addr, seg: TcpRepr) {
@@ -331,7 +330,7 @@ impl TcpEndpoint {
     pub fn poll_transmit_into(&mut self, out: &mut Vec<Wire>) {
         // App-level sends land in socket.out; sweep all live sockets.
         for idx in 0..self.sockets.len() {
-            if !self.retired[idx] {
+            if !self.sockets[idx].retired {
                 self.drain_socket(idx);
             }
         }
@@ -342,17 +341,17 @@ impl TcpEndpoint {
     pub fn next_deadline(&self) -> Option<Micros> {
         self.sockets
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.retired[*i])
-            .filter_map(|(_, s)| s.next_deadline())
+            .filter(|s| !s.retired)
+            .filter_map(|s| s.sock.next_deadline())
             .min()
     }
 
     /// Fire timers that are due.
     pub fn on_timer(&mut self, now: Micros) {
         for idx in 0..self.sockets.len() {
-            if !self.retired[idx] && self.sockets[idx].next_deadline().is_some_and(|d| d <= now) {
-                self.sockets[idx].on_timer(now);
+            let slot = &mut self.sockets[idx];
+            if !slot.retired && slot.sock.next_deadline().is_some_and(|d| d <= now) {
+                slot.sock.on_timer(now);
                 self.drain_socket(idx);
             }
         }
@@ -362,8 +361,7 @@ impl TcpEndpoint {
     pub fn live_sockets(&self) -> usize {
         self.sockets
             .iter()
-            .enumerate()
-            .filter(|(i, s)| !self.retired[*i] && s.state() != TcpState::Closed)
+            .filter(|s| !s.retired && s.sock.state() != TcpState::Closed)
             .count()
     }
 
@@ -452,6 +450,30 @@ mod tests {
         assert_eq!(ch2, ch, "slot recycled");
         pump(&mut client, &mut server, 1_000);
         assert!(client.socket(ch2).is_established());
+    }
+
+    #[test]
+    fn one_connection_endpoints_hold_one_table_slot() {
+        // A fresh thread, so no recycled table or queue from another test
+        // brings its capacity along.
+        std::thread::spawn(|| {
+            let mut client = TcpEndpoint::new(client_addr(), StackProfile::linux_4_4());
+            let mut server = TcpEndpoint::new(server_addr(), StackProfile::linux_4_4());
+            server.listen(80);
+            let ch = client.connect(server_addr(), 80, 0);
+            pump(&mut client, &mut server, 0);
+            let sh = server.take_accepted()[0];
+            client.socket(ch).send(b"GET / HTTP/1.1\r\n\r\n", 1_000);
+            pump(&mut client, &mut server, 1_000);
+            assert_eq!(server.socket(sh).recv_drain(), b"GET / HTTP/1.1\r\n\r\n");
+            for ep in [&client, &server] {
+                assert_eq!(ep.sockets.len(), 1);
+                assert_eq!(ep.sockets.capacity(), 1, "socket table holds exactly the live socket");
+                assert_eq!(ep.sockets[0].sock.out.capacity(), 1, "segment queue never needed a second slot");
+            }
+        })
+        .join()
+        .expect("test thread");
     }
 
     #[test]

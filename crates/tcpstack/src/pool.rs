@@ -9,8 +9,8 @@
 //! unchanged) but with recycled capacity, and the endpoint returns each
 //! repr after serializing it to the wire.
 
+use crate::endpoint::SocketSlot;
 use crate::ignore::IgnoreEvent;
-use crate::socket::Socket;
 use intang_packet::arena::Arena;
 use intang_packet::tcp::{TcpFlags, TcpRepr};
 use intang_packet::Wire;
@@ -21,10 +21,10 @@ thread_local! {
     /// Recycled byte buffers (socket receive/send queues, ignore-log
     /// storage): leased empty, returned cleared — only capacity survives.
     static BYTE_BUFS: RefCell<Arena<Vec<u8>>> = const { RefCell::new(Arena::new(16)) };
-    /// Recycled segment queues (`Socket::out`, `unacked`).
+    /// Recycled segment queues (`Socket::out`).
     static SEG_QUEUES: RefCell<Arena<Vec<TcpRepr>>> = const { RefCell::new(Arena::new(16)) };
     /// Recycled socket tables (`TcpEndpoint::sockets`).
-    static SOCKET_TABLES: RefCell<Arena<Vec<Socket>>> = const { RefCell::new(Arena::new(8)) };
+    static SOCKET_TABLES: RefCell<Arena<Vec<SocketSlot>>> = const { RefCell::new(Arena::new(8)) };
     /// Recycled outgoing-datagram queues (`TcpEndpoint::out`).
     static WIRE_QUEUES: RefCell<Arena<Vec<Wire>>> = const { RefCell::new(Arena::new(8)) };
     /// Recycled ignore-log storage.
@@ -32,12 +32,12 @@ thread_local! {
 }
 
 /// Lease an empty socket table with recycled capacity.
-pub(crate) fn take_socket_table() -> Vec<Socket> {
+pub(crate) fn take_socket_table() -> Vec<SocketSlot> {
     SOCKET_TABLES.try_with(|p| p.borrow_mut().take_with(Vec::new)).unwrap_or_default()
 }
 
 /// Return a socket table: dropping the sockets here recycles their queues.
-pub(crate) fn put_socket_table(mut t: Vec<Socket>) {
+pub(crate) fn put_socket_table(mut t: Vec<SocketSlot>) {
     t.clear();
     let _ = SOCKET_TABLES.try_with(|p| p.borrow_mut().put(t));
 }
@@ -75,9 +75,14 @@ pub(crate) fn put_bytes(mut b: Vec<u8>) {
     let _ = BYTE_BUFS.try_with(|p| p.borrow_mut().put(b));
 }
 
-/// Lease an empty segment queue with recycled capacity.
+/// Lease an empty segment queue with recycled capacity, or a fresh one
+/// with room for exactly one segment: a socket usually holds one queued
+/// segment until the endpoint drains it, and a default-grown queue would
+/// carry three empty 72-byte reprs per live connection.
 pub(crate) fn take_seg_queue() -> Vec<TcpRepr> {
-    SEG_QUEUES.try_with(|p| p.borrow_mut().take_with(Vec::new)).unwrap_or_default()
+    SEG_QUEUES
+        .try_with(|p| p.borrow_mut().take_with(|| Vec::with_capacity(1)))
+        .unwrap_or_else(|_| Vec::with_capacity(1))
 }
 
 /// Return a segment queue: the reprs inside go back to the repr arena,

@@ -112,7 +112,7 @@ impl Socket {
         s.state = TcpState::SynSent;
         let mut syn = s.segment(TcpFlags::SYN, iss, 0, now);
         syn.options.insert(0, TcpOption::Mss(profile.mss as u16));
-        s.out.push(syn);
+        s.queue(syn);
         s.snd_nxt = iss.wrapping_add(1);
         s.arm_rto(now);
         s
@@ -127,7 +127,7 @@ impl Socket {
         s.ts_recent = remote_ts;
         let mut synack = s.segment(TcpFlags::SYN_ACK, iss, s.rcv_nxt, now);
         synack.options.insert(0, TcpOption::Mss(profile.mss as u16));
-        s.out.push(synack);
+        s.queue(synack);
         s.snd_nxt = iss.wrapping_add(1);
         s.arm_rto(now);
         s
@@ -256,9 +256,20 @@ impl Socket {
         repr
     }
 
+    /// Queue a segment for the endpoint to drain. The queue doubles from
+    /// its one-slot start (1, 2, 4, …) instead of jumping to `Vec`'s
+    /// four-slot minimum, so a connection that queues two segments at once
+    /// (a response and its FIN) holds two.
+    fn queue(&mut self, seg: TcpRepr) {
+        if self.out.len() == self.out.capacity() {
+            self.out.reserve_exact(self.out.capacity().max(1));
+        }
+        self.out.push(seg);
+    }
+
     fn emit_ack(&mut self, now: Micros) {
         let seg = self.segment(TcpFlags::ACK, self.snd_nxt, self.rcv_nxt, now);
-        self.out.push(seg);
+        self.queue(seg);
     }
 
     fn emit_rst(&mut self, seqno: u32, ack: Option<u32>, now: Micros) {
@@ -268,7 +279,7 @@ impl Socket {
         };
         let mut seg = self.segment(flags, seqno, ackno, now);
         seg.options.clear(); // RSTs go bare
-        self.out.push(seg);
+        self.queue(seg);
     }
 
     /// Move queued bytes onto the wire as MSS-sized segments. In SYN_SENT /
@@ -281,7 +292,7 @@ impl Socket {
             seg.payload.extend_from_slice(&self.send_queue[..take]);
             self.send_queue.drain(..take);
             self.unacked.extend_from_slice(&seg.payload);
-            self.out.push(seg);
+            self.queue(seg);
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
             self.arm_rto(now);
         }
@@ -289,7 +300,7 @@ impl Socket {
             match self.state {
                 TcpState::Established | TcpState::SynRecv => {
                     let seg = self.segment(TcpFlags::FIN_ACK, self.snd_nxt, self.rcv_nxt, now);
-                    self.out.push(seg);
+                    self.queue(seg);
                     self.snd_nxt = self.snd_nxt.wrapping_add(1);
                     self.fin_sent = true;
                     self.state = TcpState::FinWait1;
@@ -297,7 +308,7 @@ impl Socket {
                 }
                 TcpState::CloseWait => {
                     let seg = self.segment(TcpFlags::FIN_ACK, self.snd_nxt, self.rcv_nxt, now);
-                    self.out.push(seg);
+                    self.queue(seg);
                     self.snd_nxt = self.snd_nxt.wrapping_add(1);
                     self.fin_sent = true;
                     self.state = TcpState::LastAck;
@@ -357,22 +368,22 @@ impl Socket {
             TcpState::SynSent => {
                 let mut syn = self.segment(TcpFlags::SYN, self.iss, 0, now);
                 syn.options.insert(0, TcpOption::Mss(self.profile.mss as u16));
-                self.out.push(syn);
+                self.queue(syn);
             }
             TcpState::SynRecv => {
                 let mut synack = self.segment(TcpFlags::SYN_ACK, self.iss, self.rcv_nxt, now);
                 synack.options.insert(0, TcpOption::Mss(self.profile.mss as u16));
-                self.out.push(synack);
+                self.queue(synack);
             }
             _ => {
                 if !self.unacked.is_empty() {
                     let take = self.unacked.len().min(self.profile.mss);
                     let mut seg = self.segment(TcpFlags::PSH_ACK, self.snd_una, self.rcv_nxt, now);
                     seg.payload = self.unacked[..take].to_vec();
-                    self.out.push(seg);
+                    self.queue(seg);
                 } else if self.fin_sent && seq::lt(self.snd_una, self.snd_nxt) {
                     let seg = self.segment(TcpFlags::FIN_ACK, self.snd_nxt.wrapping_sub(1), self.rcv_nxt, now);
-                    self.out.push(seg);
+                    self.queue(seg);
                 } else {
                     self.disarm_rto();
                 }
@@ -475,7 +486,7 @@ impl Socket {
             // Duplicate SYN: retransmit the SYN/ACK.
             let mut synack = self.segment(TcpFlags::SYN_ACK, self.iss, self.rcv_nxt, now);
             synack.options.insert(0, TcpOption::Mss(self.profile.mss as u16));
-            self.out.push(synack);
+            self.queue(synack);
             return;
         }
         if !seg.flags.ack() {

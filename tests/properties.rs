@@ -466,7 +466,9 @@ fn seq_order_sanity() {
 /// pushes and pops are compared against a reference heap step by step.
 /// Push times cover every tier: the front epoch, each upper wheel level
 /// (link-scale, seconds-scale retransmit/expiry timers, hours ahead),
-/// same-time ties, past-due times, and beyond-horizon overflow. Every
+/// same-time ties, past-due times, and beyond-horizon overflow; settles
+/// that cascade ahead of a deadline are followed by pushes between the
+/// deadline and the settled head, as the event loop's callers make. Every
 /// case runs twice: on freshly allocated storage, and on storage recycled
 /// through the thread's pool from a queue dropped mid-run.
 #[test]
@@ -511,6 +513,25 @@ fn event_queue_matches_reference_heap() {
                 q.push(Instant(at), Event::Timer { elem: 0, token: seq });
                 reference.push(Reverse((at, seq)));
                 seq += 1;
+            } else if g.below(3) == 0 {
+                // The event loop's settle, run ahead of a deadline: settle
+                // cascades the head into the front; when the head lies past
+                // the deadline the loop returns, and its caller schedules
+                // more events between the deadline and the settled head
+                // before anything pops.
+                let Reverse((head_at, _)) = *reference.peek().expect("checked non-empty");
+                assert_eq!(q.settle().map(|t| t.0), Some(head_at), "case {case} ({leg}): settle");
+                assert_eq!(q.settle().map(|t| t.0), Some(head_at), "case {case} ({leg}): settle is idempotent");
+                if head_at > now {
+                    let deadline = now + g.u64() % (head_at - now);
+                    for _ in 0..g.below(4) {
+                        let at = deadline + g.u64() % (head_at - deadline + 1);
+                        recent.push(at);
+                        q.push(Instant(at), Event::Timer { elem: 0, token: seq });
+                        reference.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                }
             } else if g.below(2) == 0 {
                 let Reverse((want_at, want_seq)) = reference.pop().expect("checked non-empty");
                 let (got_at, ev) = q.pop().expect("wheel agrees queue is non-empty");
